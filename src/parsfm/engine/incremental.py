@@ -132,6 +132,7 @@ class _Builder:
         self.X = {}  # track id -> xyz
         self.rng = np.random.default_rng(opts.rng_seed)
         self.recon_id = recon_id
+        self.seed_key = None  # set once a seed pair is chosen
 
     # -- helpers ---------------------------------------------------------
 
@@ -323,26 +324,30 @@ def incremental_reconstruct(
     """Reconstruct one image subset from its verified matches.
 
     A weakly conditioned seed pair can pass the angle gate yet triangulate
-    points too loose to resect any further camera, stalling the run; when a
-    run registers less than half of the reachable images the next-ranked
-    seed pair is tried (up to max_seed_attempts), keeping the best result.
+    points too loose to resect any further camera, stalling the run, or
+    triangulate too few points to start at all; in either case the
+    next-ranked seed pair is tried (up to max_seed_attempts), keeping the
+    best result.
 
-    Raises SeedFailure when no initial pair works; images that repeatedly
-    fail resection simply stay unregistered.
+    Raises SeedFailure when no candidate pair is left or every attempt
+    failed; images that repeatedly fail resection simply stay unregistered.
     """
     if not subset:
         raise ValueError("empty image subset")
     opts = opts or EngineOptions()
     tried = set()
-    best = None
+    best = failure = None
     for _ in range(max(1, opts.max_seed_attempts)):
         builder = _Builder(subset, features, pairs, intrinsics, opts, recon_id)
         try:
             recon = builder.run(exclude=frozenset(tried))
-        except SeedFailure:
-            if best is None:
-                raise
-            break
+        except SeedFailure as exc:
+            if builder.seed_key is None:  # no candidate pair is left
+                failure = failure or exc
+                break
+            failure = exc
+            tried.add(builder.seed_key)
+            continue
         if best is None or (recon.num_cameras(), recon.num_points()) > (
             best.num_cameras(),
             best.num_points(),
@@ -352,4 +357,6 @@ def incremental_reconstruct(
         if recon.num_cameras() >= min(reachable, max(3, 0.5 * reachable)):
             break
         tried.add(builder.seed_key)
+    if best is None:
+        raise failure
     return best

@@ -1,9 +1,11 @@
-"""Levenberg-Marquardt bundle adjustment over dense normal equations.
+"""Levenberg-Marquardt bundle adjustment with sparse Schur elimination.
 
-Points are eliminated through the camera/point Schur complement; intrinsics
-stay fixed. Gauge is fixed by holding the first camera constant and, when no
-points are held fixed, restoring the length of the first camera baseline
-(a pure gauge transform, so it never changes the cost).
+Points are eliminated through the camera/point Schur complement, its coupling
+W V^-1 W^T formed as a sparse block product, and the reduced camera system is
+solved densely; intrinsics stay fixed. Gauge is fixed by holding the first
+camera constant and, when no points are held fixed, restoring the length of
+the first camera baseline (a pure gauge transform, so it never changes the
+cost).
 """
 
 from __future__ import annotations

@@ -6,24 +6,21 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .camera import CameraIntrinsics, CameraPose, angle_axis_to_matrix, project_rotation
-from .twoview import EstimationFailure
+from .twoview import EstimationFailure, _svd
 
 
 def _dlt_pose(X: np.ndarray, xn: np.ndarray) -> CameraPose:
     """Direct linear transform from >=6 world/normalized-image correspondences."""
-    n = len(X)
-    A = np.zeros((2 * n, 12))
-    for i in range(n):
-        x, y = xn[i]
-        A[2 * i, 0:3] = X[i]
-        A[2 * i, 3] = 1.0
-        A[2 * i, 8:11] = -x * X[i]
-        A[2 * i, 11] = -x
-        A[2 * i + 1, 4:7] = X[i]
-        A[2 * i + 1, 7] = 1.0
-        A[2 * i + 1, 8:11] = -y * X[i]
-        A[2 * i + 1, 11] = -y
-    _, s, Vt = np.linalg.svd(A)
+    A = np.zeros((2 * len(X), 12))
+    A[0::2, 0:3] = X
+    A[0::2, 3] = 1.0
+    A[0::2, 8:11] = -xn[:, 0:1] * X
+    A[0::2, 11] = -xn[:, 0]
+    A[1::2, 4:7] = X
+    A[1::2, 7] = 1.0
+    A[1::2, 8:11] = -xn[:, 1:2] * X
+    A[1::2, 11] = -xn[:, 1]
+    _, s, Vt = _svd(A)
     if s[-2] < 1e-10 * max(s[0], 1.0):
         raise EstimationFailure("degenerate (coplanar/collinear) correspondence set")
     P = Vt[-1].reshape(3, 4)
@@ -54,14 +51,16 @@ def _homography(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
 
     sp, Ts = normalize(src)
     dp, Td = normalize(dst)
-    n = len(src)
-    M = np.zeros((2 * n, 9))
-    for i in range(n):
-        u, v = sp[i]
-        x, y = dp[i]
-        M[2 * i] = [u, v, 1.0, 0.0, 0.0, 0.0, -x * u, -x * v, -x]
-        M[2 * i + 1] = [0.0, 0.0, 0.0, u, v, 1.0, -y * u, -y * v, -y]
-    _, _, Vt = np.linalg.svd(M)
+    M = np.zeros((2 * len(src), 9))
+    M[0::2, 0:2] = sp
+    M[0::2, 2] = 1.0
+    M[1::2, 3:5] = sp
+    M[1::2, 5] = 1.0
+    M[0::2, 6:8] = -dp[:, 0:1] * sp
+    M[0::2, 8] = -dp[:, 0]
+    M[1::2, 6:8] = -dp[:, 1:2] * sp
+    M[1::2, 8] = -dp[:, 1]
+    _, _, Vt = _svd(M)
     return np.linalg.inv(Td) @ Vt[-1].reshape(3, 3) @ Ts
 
 
@@ -74,7 +73,7 @@ def _planar_pose(X: np.ndarray, xn: np.ndarray) -> CameraPose:
     columns are the rotated plane axes.
     """
     c = X.mean(axis=0)
-    _, _, Vt = np.linalg.svd(X - c)
+    _, _, Vt = _svd(X - c)
     if np.linalg.det(Vt) < 0:
         Vt = Vt.copy()
         Vt[2] = -Vt[2]

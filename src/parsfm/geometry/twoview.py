@@ -18,6 +18,11 @@ class EstimationFailure(Exception):
 DEFAULT_MIN_TRI_ANGLE_DEG = 2.0
 
 
+def _svd(A: np.ndarray):
+    """SVD of a design matrix: thin when tall, full when wide so Vt[-1] is null."""
+    return np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+
+
 def _ray_directions(intr: CameraIntrinsics, pose: CameraPose, pixel) -> np.ndarray:
     """Unit viewing ray in world coordinates."""
     n = intr.normalize(np.asarray(pixel, dtype=float))
@@ -56,7 +61,7 @@ def triangulate(observations, min_tri_angle_deg: float = DEFAULT_MIN_TRI_ANGLE_D
         rows.append(n[0] * P[2] - P[0])
         rows.append(n[1] * P[2] - P[1])
     A = np.array(rows)
-    _, _, Vt = np.linalg.svd(A)
+    _, _, Vt = _svd(A)
     Xh = Vt[-1]
     if abs(Xh[3]) < 1e-14:
         raise DegenerateGeometryError("point at infinity")
@@ -82,13 +87,11 @@ def _eight_point_essential(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     b, T2 = hartley(x2)
     # rows: b^T E a = 0
     A = np.einsum("ni,nj->nij", b, a).reshape(len(x1), 9)
-    _, _, Vt = np.linalg.svd(A)
-    E = Vt[-1].reshape(3, 3)
-    E = T2.T @ E @ T1
+    _, _, Vt = _svd(A)
+    E = T2.T @ Vt[-1].reshape(3, 3) @ T1
     # enforce rank-2 with equal singular values
     U, _, Vt = np.linalg.svd(E)
-    E = U @ np.diag([1.0, 1.0, 0.0]) @ Vt
-    return E
+    return U @ np.diag([1.0, 1.0, 0.0]) @ Vt
 
 
 def _sampson_error(E: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -117,26 +120,17 @@ def _decompose_essential(E: np.ndarray):
 
 def _cheirality_counts(R, t, x1, x2):
     """Depth-positive count for pose candidate (R, t) of camera 2 w.r.t. camera 1."""
-    n = len(x1)
-    good = 0
-    for i in range(n):
-        A = np.empty((4, 4))
-        P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-        P2 = np.hstack([R, t.reshape(3, 1)])
-        A[0] = x1[i, 0] * P1[2] - P1[0]
-        A[1] = x1[i, 1] * P1[2] - P1[1]
-        A[2] = x2[i, 0] * P2[2] - P2[0]
-        A[3] = x2[i, 1] * P2[2] - P2[1]
-        _, _, Vt = np.linalg.svd(A)
-        Xh = Vt[-1]
-        if abs(Xh[3]) < 1e-14:
-            continue
-        X = Xh[:3] / Xh[3]
-        z1 = X[2]
-        z2 = (R @ X + t)[2]
-        if z1 > 0 and z2 > 0:
-            good += 1
-    return good
+    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+    P = np.stack([P1, np.hstack([R, t.reshape(3, 1)])])  # (camera, 3, 4)
+    x = np.stack([x1, x2], axis=1)[..., None]  # (N, camera, coordinate, 1)
+    # rows x_k P[2] - P[k] of each point's 4x4 DLT system, all solved as one stack
+    A = (x * P[:, 2:3] - P[:, :2]).reshape(-1, 4, 4)
+    Xh = np.linalg.svd(A)[2][:, -1]
+    Xh = Xh[np.abs(Xh[:, 3]) >= 1e-14]  # points at infinity never count
+    X = Xh[:, :3] / Xh[:, 3:]
+    # a batched matrix-vector product rounds exactly like R @ X per point
+    z2 = np.matmul(R, X[:, :, None])[:, 2, 0] + t[2]
+    return int(np.count_nonzero((X[:, 2] > 0) & (z2 > 0)))
 
 
 def estimate_relative_pose(

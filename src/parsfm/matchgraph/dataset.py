@@ -115,6 +115,10 @@ def read_dataset(path) -> Dataset:
         else:
             desc = np.zeros((len(kp), 0))
         features[iid] = FeatureSet(iid, kp, desc)
+    # an image without keypoints gets an empty feature set as wide as the rest
+    dim = next((len(v) for dmap in descs.values() for v in dmap.values()), 0)
+    for iid in sorted(metas.keys() - features.keys()):
+        features[iid] = FeatureSet(iid, np.zeros((0, 3)), np.zeros((0, dim)))
 
     pairs = [MatchPair(a, b, np.array(m, dtype=int)) for (a, b), m in sorted(matches.items())]
 

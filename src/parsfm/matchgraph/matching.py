@@ -21,20 +21,13 @@ def mutual_nearest_matches(desc_a: np.ndarray, desc_b: np.ndarray, ratio: float 
         - 2.0 * desc_a @ desc_b.T
     )
     nn_ab = d2.argmin(axis=1)
-    nn_ba = d2.argmin(axis=0)
-    out = []
-    for i, j in enumerate(nn_ab):
-        if nn_ba[j] != i:
-            continue
-        if d2.shape[1] >= 2:
-            row = d2[i].copy()
-            best = row[j]
-            row[j] = np.inf
-            second = row.min()
-            if best > (ratio**2) * second:
-                continue
-        out.append((i, int(j)))
-    return np.array(out, dtype=int).reshape(-1, 2)
+    rows = np.arange(len(d2))
+    keep = d2.argmin(axis=0)[nn_ab] == rows
+    if d2.shape[1] >= 2:
+        # a tie for nearest leaves the best distance as the second one
+        second = np.partition(d2, 1, axis=1)[:, 1]
+        keep &= ~(d2[rows, nn_ab] > (ratio**2) * second)
+    return np.stack([rows[keep], nn_ab[keep]], axis=1)
 
 
 def verify_matches(

@@ -269,6 +269,37 @@ class TestIncrementalReconstruct:
                 scene["images"], {}, scene["features"], [], scene["intrinsics"]
             )
 
+    def test_failed_seed_pair_falls_through_to_next(self):
+        # 12-image nadir block, scene seed 7, sigma 0.4 px: the best-ranked
+        # pair of images 0-3 triangulates too few points to start from
+        from parsfm.pipeline import SynthConfig, generate_synthetic
+
+        ds, _, _, _ = generate_synthetic(
+            SynthConfig(image_count=12, point_count=600, seed=7)
+        )
+        rng = np.random.default_rng(7)
+        for img in sorted(ds.features):
+            kp = ds.features[img].keypoints
+            kp[:, :2] += rng.normal(0.0, 0.4, (len(kp), 2))
+        subset = [0, 1, 2, 3]  # with 15838, as run_pipeline reconstructs it
+        args = (subset, {}, ds.features, ds.pairs, ds.intrinsics)
+        with pytest.raises(SeedFailure, match="too few triangulated"):
+            incremental_reconstruct(
+                *args, EngineOptions(rng_seed=15838, max_seed_attempts=1)
+            )
+        recon = incremental_reconstruct(*args, EngineOptions(rng_seed=15838))
+        assert set(recon.cameras) == set(subset)
+        validate_reconstruction(recon, ds.features)
+
+    def test_every_seed_attempt_failing_raises(self):
+        scene = make_scene(n_cams=3, n_pts=30, seed=6)
+        opts = EngineOptions(min_resection_corrs=1000)
+        with pytest.raises(SeedFailure, match="too few triangulated"):
+            incremental_reconstruct(
+                scene["images"], {}, scene["features"], scene["pairs"],
+                scene["intrinsics"], opts,
+            )
+
 
 class TestReconstructionContainer:
     def _small_recon(self):

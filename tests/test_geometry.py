@@ -14,7 +14,14 @@ from parsfm.geometry import (
     triangulate,
     umeyama_similarity,
 )
+from parsfm.geometry import resection
 from parsfm.geometry.camera import angle_axis_to_matrix
+from parsfm.geometry.resection import _dlt_pose, _homography
+from parsfm.geometry.twoview import (
+    _cheirality_counts,
+    _decompose_essential,
+    _eight_point_essential,
+)
 
 from helpers import default_intrinsics, look_at_pose, random_rotation, ring_cameras
 
@@ -219,6 +226,191 @@ class TestResection:
         intr = default_intrinsics()
         with pytest.raises(EstimationFailure):
             resect_camera([(np.zeros(3), np.zeros(2))] * 5, intr)
+
+
+# Per-correspondence loop versions of the array kernels in parsfm.geometry,
+# kept as oracles: the kernels must reproduce them bit for bit.
+
+
+def _cheirality_counts_loop(R, t, x1, x2):
+    good = 0
+    for i in range(len(x1)):
+        A = np.empty((4, 4))
+        P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+        P2 = np.hstack([R, t.reshape(3, 1)])
+        A[0] = x1[i, 0] * P1[2] - P1[0]
+        A[1] = x1[i, 1] * P1[2] - P1[1]
+        A[2] = x2[i, 0] * P2[2] - P2[0]
+        A[3] = x2[i, 1] * P2[2] - P2[1]
+        _, _, Vt = np.linalg.svd(A)
+        Xh = Vt[-1]
+        if abs(Xh[3]) < 1e-14:
+            continue
+        X = Xh[:3] / Xh[3]
+        if X[2] > 0 and (R @ X + t)[2] > 0:
+            good += 1
+    return good
+
+
+def _hartley(x):
+    mean = x.mean(axis=0)
+    d = np.sqrt(((x - mean) ** 2).sum(axis=1)).mean()
+    s = np.sqrt(2.0) / max(d, 1e-12)
+    T = np.array([[s, 0, -s * mean[0]], [0, s, -s * mean[1]], [0, 0, 1]])
+    return np.hstack([x, np.ones((len(x), 1))]) @ T.T, T
+
+
+def _eight_point_essential_full_svd(x1, x2):
+    a, T1 = _hartley(x1)
+    b, T2 = _hartley(x2)
+    A = np.einsum("ni,nj->nij", b, a).reshape(len(x1), 9)
+    _, _, Vt = np.linalg.svd(A)
+    E = T2.T @ Vt[-1].reshape(3, 3) @ T1
+    U, _, Vt = np.linalg.svd(E)
+    return U @ np.diag([1.0, 1.0, 0.0]) @ Vt
+
+
+def _dlt_design_loop(X, xn):
+    n = len(X)
+    A = np.zeros((2 * n, 12))
+    for i in range(n):
+        x, y = xn[i]
+        A[2 * i, 0:3] = X[i]
+        A[2 * i, 3] = 1.0
+        A[2 * i, 8:11] = -x * X[i]
+        A[2 * i, 11] = -x
+        A[2 * i + 1, 4:7] = X[i]
+        A[2 * i + 1, 7] = 1.0
+        A[2 * i + 1, 8:11] = -y * X[i]
+        A[2 * i + 1, 11] = -y
+    return A
+
+
+def _homography_design_loop(sp, dp):
+    n = len(sp)
+    M = np.zeros((2 * n, 9))
+    for i in range(n):
+        u, v = sp[i]
+        x, y = dp[i]
+        M[2 * i] = [u, v, 1.0, 0.0, 0.0, 0.0, -x * u, -x * v, -x]
+        M[2 * i + 1] = [0.0, 0.0, 0.0, u, v, 1.0, -y * u, -y * v, -y]
+    return M
+
+
+def _homography_loop(src, dst):
+    """(homography, design matrix)"""
+
+    def normalize(p):
+        m = p.mean(axis=0)
+        d = np.sqrt(((p - m) ** 2).sum(axis=1)).mean()
+        s = np.sqrt(2.0) / max(d, 1e-12)
+        T = np.array([[s, 0.0, -s * m[0]], [0.0, s, -s * m[1]], [0.0, 0.0, 1.0]])
+        return (p - m) * s, T
+
+    sp, Ts = normalize(src)
+    dp, Td = normalize(dst)
+    M = _homography_design_loop(sp, dp)
+    _, _, Vt = np.linalg.svd(M)
+    return np.linalg.inv(Td) @ Vt[-1].reshape(3, 3) @ Ts, M
+
+
+def _spy_svd(monkeypatch):
+    """Record every design matrix that resection hands to its SVD."""
+    seen = []
+    real = resection._svd
+
+    def spy(A):
+        seen.append(A.copy())
+        return real(A)
+
+    monkeypatch.setattr(resection, "_svd", spy)
+    return seen
+
+
+class TestKernelOracles:
+    def _two_view(self, rng, n, noise=1e-3):
+        R = angle_axis_to_matrix(rng.normal(scale=0.3, size=3))
+        t = rng.normal(size=3)
+        X = rng.uniform([-3, -3, -2], [3, 3, 10], size=(n, 3))
+        Y = X @ R.T + t
+        x1 = X[:, :2] / X[:, 2:] + rng.normal(scale=noise, size=(n, 2))
+        x2 = Y[:, :2] / Y[:, 2:] + rng.normal(scale=noise, size=(n, 2))
+        return R, t, x1, x2
+
+    def test_cheirality_counts_match_loop(self):
+        rng = np.random.default_rng(101)
+        for n in (1, 2, 8, 37, 250):
+            R, t, x1, x2 = self._two_view(rng, n)
+            E = np.cross(np.eye(3), t) @ R  # [t]x R
+            for Rc, tc in _decompose_essential(E):
+                assert _cheirality_counts(Rc, tc, x1, x2) == _cheirality_counts_loop(
+                    Rc, tc, x1, x2
+                )
+
+    def test_cheirality_infinity_and_behind(self):
+        rng = np.random.default_rng(103)
+        R, t = np.eye(3), np.array([1.0, 0.0, 0.0])
+        # parallel rays meet at infinity; points at negative depth are behind
+        far = rng.uniform(-0.5, 0.5, size=(20, 2))
+        behind = rng.uniform([-3, -3, -9], [3, 3, -1], size=(15, 3))
+        near = rng.uniform([-3, -3, 4], [3, 3, 9], size=(10, 3))
+        pts = np.vstack([behind, near])
+        x1 = np.vstack([far, pts[:, :2] / pts[:, 2:]])
+        x2 = np.vstack([far, (pts + t)[:, :2] / (pts + t)[:, 2:]])
+        for a, b in ((x1, x2), (x1[:35], x2[:35]), (x1[:20], x2[:20])):
+            for Rc, tc in ((R, t), (R, -t)):
+                assert _cheirality_counts(Rc, tc, a, b) == _cheirality_counts_loop(
+                    Rc, tc, a, b
+                )
+        assert _cheirality_counts(R, t, x1, x2) == 10
+        assert _cheirality_counts(R, t, x1[:35], x2[:35]) == 0
+        empty = np.zeros((0, 2))
+        assert _cheirality_counts(R, t, empty, empty) == 0
+
+    def test_eight_point_matches_full_svd(self):
+        rng = np.random.default_rng(107)
+        for n in (8, 9, 30, 640):
+            _, _, x1, x2 = self._two_view(rng, n)
+            assert np.array_equal(
+                _eight_point_essential(x1, x2), _eight_point_essential_full_svd(x1, x2)
+            )
+
+    def test_dlt_design_matrix_matches_loop(self, monkeypatch):
+        seen = _spy_svd(monkeypatch)
+        rng = np.random.default_rng(109)
+        for n in (6, 7, 40):
+            X = rng.uniform(-4, 4, size=(n, 3))
+            xn = rng.normal(size=(n, 2))
+            try:
+                _dlt_pose(X, xn)
+            except EstimationFailure:
+                pass
+            assert np.array_equal(seen.pop(), _dlt_design_loop(X, xn))
+        # coplanar points: a rank-deficient system is still built the same way
+        X[:, 2] = 0.0
+        with pytest.raises(EstimationFailure):
+            _dlt_pose(X, xn)
+        assert np.array_equal(seen.pop(), _dlt_design_loop(X, xn))
+
+    def test_homography_matches_loop(self, monkeypatch):
+        seen = _spy_svd(monkeypatch)
+        rng = np.random.default_rng(113)
+        H_true = np.eye(3) + rng.normal(scale=0.1, size=(3, 3))
+        for n in (4, 5, 60):
+            src = rng.uniform(-1, 1, size=(n, 2))
+            dst_h = np.hstack([src, np.ones((n, 1))]) @ H_true.T
+            dst = dst_h[:, :2] / dst_h[:, 2:]
+            H = _homography(src, dst)
+            H_loop, M_loop = _homography_loop(src, dst)
+            assert np.array_equal(H, H_loop)
+            assert np.array_equal(seen.pop(), M_loop)
+            mapped = np.hstack([src, np.ones((n, 1))]) @ H.T
+            assert np.allclose(mapped[:, :2] / mapped[:, 2:], dst, atol=1e-9)
+        # collinear source points: degenerate, but built and solved identically
+        src[:, 1] = 0.5 * src[:, 0]
+        H_loop, M_loop = _homography_loop(src, dst)
+        assert np.array_equal(_homography(src, dst), H_loop)
+        assert np.array_equal(seen.pop(), M_loop)
 
 
 class TestUmeyama:

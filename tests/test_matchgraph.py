@@ -14,6 +14,7 @@ from parsfm.matchgraph import (
     verify_matches,
 )
 from parsfm.matchgraph.dataset import Dataset, read_dataset, write_dataset
+from parsfm.matchgraph.matching import mutual_nearest_matches
 
 from helpers import default_intrinsics, look_at_pose
 
@@ -289,6 +290,69 @@ class TestRetrieval:
         assert truth <= pairs
 
 
+def _mutual_nearest_loop(desc_a, desc_b, ratio=0.8):
+    """Per-descriptor oracle for mutual_nearest_matches."""
+    if len(desc_a) == 0 or len(desc_b) == 0:
+        return np.zeros((0, 2), dtype=int)
+    d2 = (
+        (desc_a**2).sum(axis=1)[:, None]
+        + (desc_b**2).sum(axis=1)[None, :]
+        - 2.0 * desc_a @ desc_b.T
+    )
+    nn_ab = d2.argmin(axis=1)
+    nn_ba = d2.argmin(axis=0)
+    out = []
+    for i, j in enumerate(nn_ab):
+        if nn_ba[j] != i:
+            continue
+        if d2.shape[1] >= 2:
+            row = d2[i].copy()
+            best = row[j]
+            row[j] = np.inf
+            if best > (ratio**2) * row.min():
+                continue
+        out.append((i, int(j)))
+    return np.array(out, dtype=int).reshape(-1, 2)
+
+
+class TestMutualNearestMatches:
+    def _check(self, a, b, ratio=0.8):
+        got = mutual_nearest_matches(a, b, ratio)
+        want = _mutual_nearest_loop(a, b, ratio)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        return got
+
+    def test_random_descriptors_match_loop(self):
+        rng = np.random.default_rng(83)
+        for na, nb, ratio in ((50, 60, 0.8), (200, 150, 0.9), (7, 3, 0.6)):
+            a = _random_unit(rng, na)
+            b = np.vstack([a[: nb // 2], _random_unit(rng, nb - nb // 2)])
+            b[: nb // 2] += rng.normal(scale=0.05, size=b[: nb // 2].shape)
+            assert len(self._check(a, b, ratio)) > 0
+
+    def test_equal_distance_ties_rejected(self):
+        # integer descriptors give exact distances; b rows 0 and 1 tie for a[0]
+        a = np.array([[0.0, 0.0], [5.0, 5.0]])
+        b = np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 5.0]])
+        got = self._check(a, b)
+        assert got.tolist() == [[1, 2]]
+        rng = np.random.default_rng(89)
+        for _ in range(20):
+            a = rng.integers(0, 3, size=(30, 4)).astype(float)
+            b = rng.integers(0, 3, size=(25, 4)).astype(float)
+            self._check(a, b)
+
+    def test_single_column_and_empty(self):
+        rng = np.random.default_rng(97)
+        a = _random_unit(rng, 10)
+        got = self._check(a, a[3:4])
+        assert got.tolist() == [[3, 0]]  # no second neighbour: no ratio test
+        self._check(a[3:4], a)
+        for x, y in ((a[:0], a), (a, a[:0]), (a[:0], a[:0])):
+            assert self._check(x, y).shape == (0, 2)
+
+
 class TestVerifyMatches:
     def _pair_scene(self, rng, n_pts=80, outlier_frac=0.0):
         intr = default_intrinsics()
@@ -384,6 +448,20 @@ class TestDatasetIO:
         assert len(back.pairs) == 1
         assert np.array_equal(back.pairs[0].matches, pairs[0].matches)
         assert back.intrinsics[1].focal_x == 500.0
+
+    def test_image_without_keypoints_gets_empty_feature_set(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text(
+            "INTRINSICS 500 500 320 240\n"
+            "IMAGE 0 640 480\nIMAGE 1 640 480\nIMAGE 2 640 480\n"
+            "KEYPOINT 0 1 2 1\nKEYPOINT 2 3 4 1\n"
+            "DESC 0 0 1 0 0 0\nDESC 2 0 0 1 0 0\n"
+        )
+        back = read_dataset(path)
+        assert sorted(back.features) == [0, 1, 2]
+        assert back.features[1].keypoints.shape == (0, 3)
+        assert back.features[1].descriptors.shape == (0, 4)
+        assert back.has_descriptors
 
     def test_match_orientation_normalized(self, tmp_path):
         ds = Dataset(

@@ -252,6 +252,19 @@ class TestRunPipeline:
             shallow=False,
         )
 
+    def test_image_without_keypoints_left_unregistered(self, tmp_path):
+        ds, _ = small_dataset(tmp_path)
+        lines = ds.read_text().splitlines()
+        lines.insert(1, "IMAGE 99 1200 900")
+        ds.write_text("\n".join(lines) + "\n")
+        config = PipelineConfig(
+            dataset_path=str(ds), output_dir="", cluster_max_size=8, worker_count=1
+        )
+        merged, metrics, _ = run_pipeline(config)
+        assert metrics.total_images == 17
+        assert 99 not in merged.cameras
+        assert metrics.registered_images >= 15
+
     def test_empty_dataset_fails_at_graph_stage(self, tmp_path):
         path = tmp_path / "empty.txt"
         path.write_text("")
