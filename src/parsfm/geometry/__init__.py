@@ -4,17 +4,18 @@ from .camera import (
     CameraPose,
     angle_axis_to_matrix,
     matrix_to_quaternion,
+    pinhole,
     project,
     project_points,
     quaternion_to_matrix,
 )
-from .twoview import (
+from .ransac import (
+    RANSAC_CONFIDENCE,
     DegenerateGeometryError,
     EstimationFailure,
-    estimate_relative_pose,
-    triangulate,
-    triangulation_angle,
+    adaptive_ransac,
 )
+from .twoview import estimate_relative_pose, triangulate, triangulation_angle
 from .resection import resect_camera
 from .ba import BaOptions, BaReport, solve_bundle
 from .similarity import SimilarityTransform, umeyama_similarity
@@ -27,10 +28,13 @@ __all__ = [
     "EstimationFailure",
     "BaOptions",
     "BaReport",
+    "RANSAC_CONFIDENCE",
     "SimilarityTransform",
+    "adaptive_ransac",
     "angle_axis_to_matrix",
     "estimate_relative_pose",
     "matrix_to_quaternion",
+    "pinhole",
     "project",
     "project_points",
     "quaternion_to_matrix",

@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse as sp_sparse
 
-from .camera import CameraIntrinsics, CameraPose, angle_axis_to_matrix, project_rotation
+from .camera import (
+    CameraIntrinsics,
+    CameraPose,
+    angle_axis_to_matrix,
+    pinhole,
+    project_rotation,
+)
 
 # penalty cost for an observation whose point falls behind the camera
 _BEHIND_PENALTY = 1e12
@@ -91,16 +97,13 @@ class _Problem:
 
     def residuals(self, R, t, X):
         """Per-observation 2-vector residuals plus validity mask and cost."""
-        v = np.einsum("nij,nj->ni", R[self.obs_cam], X[self.obs_pt])
-        p = v + t[self.obs_cam]
-        z = p[:, 2]
+        c = self.obs_cam
+        v = np.einsum("nij,nj->ni", R[c], X[self.obs_pt])
+        p = v + t[c]
+        px, z = pinhole(p, self.fx[c], self.fy[c], self.cx[c], self.cy[c])
         valid = z > 1e-9
-        zs = np.where(valid, z, 1.0)
-        fx = self.fx[self.obs_cam]
-        fy = self.fy[self.obs_cam]
-        u = fx * p[:, 0] / zs + self.cx[self.obs_cam]
-        w = fy * p[:, 1] / zs + self.cy[self.obs_cam]
-        r = np.stack([u, w], axis=1) - self.obs_xy
+        r = px - self.obs_xy
+        r[~valid] = 0.0  # priced by the penalty instead
         cost = float((r[valid] ** 2).sum()) + _BEHIND_PENALTY * int((~valid).sum())
         return r, valid, cost, v, p
 
@@ -266,7 +269,6 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
     it = 0
     while it < opts.max_iterations:
         it += 1
-        r[~valid] = 0.0
         A, B = prob.jacobians(v, p, valid)
         # gradient inf-norm over free parameters
         gnorm = 0.0

@@ -90,6 +90,23 @@ class CameraPose:
         return CameraPose(self.rotation.copy(), self.translation.copy())
 
 
+def pinhole(cam, fx, fy, cx, cy):
+    """Pinhole projection of camera-frame points (..., 3).
+
+    The intrinsics broadcast against the points. Returns (pixels (..., 2),
+    depths (...)); a point at non-positive depth gets a meaningless pixel,
+    so callers filter on the depth sign.
+    """
+    z = cam[..., 2]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        px = np.stack([fx * cam[..., 0] / z + cx, fy * cam[..., 1] / z + cy], axis=-1)
+    return px, z
+
+
+def _intrinsic_terms(intr: CameraIntrinsics):
+    return intr.focal_x, intr.focal_y, intr.principal_x, intr.principal_y
+
+
 def project(intr: CameraIntrinsics, pose: CameraPose, point) -> np.ndarray:
     """Perspective projection of one world point into pixel coordinates.
 
@@ -98,12 +115,7 @@ def project(intr: CameraIntrinsics, pose: CameraPose, point) -> np.ndarray:
     p = pose.rotation @ np.asarray(point, dtype=float).reshape(3) + pose.translation
     if p[2] <= 0:
         raise BehindCameraError(f"depth {p[2]:.6g} <= 0")
-    return np.array(
-        [
-            intr.focal_x * p[0] / p[2] + intr.principal_x,
-            intr.focal_y * p[1] / p[2] + intr.principal_y,
-        ]
-    )
+    return pinhole(p, *_intrinsic_terms(intr))[0]
 
 
 def project_points(intr: CameraIntrinsics, pose: CameraPose, points: np.ndarray):
@@ -111,17 +123,7 @@ def project_points(intr: CameraIntrinsics, pose: CameraPose, points: np.ndarray)
 
     Returns (pixels (N,2), depths (N,)); callers filter on depth sign.
     """
-    cam = pose.transform(points)
-    z = cam[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        px = np.stack(
-            [
-                intr.focal_x * cam[:, 0] / z + intr.principal_x,
-                intr.focal_y * cam[:, 1] / z + intr.principal_y,
-            ],
-            axis=1,
-        )
-    return px, z
+    return pinhole(pose.transform(points), *_intrinsic_terms(intr))
 
 
 def angle_axis_to_matrix(omega: np.ndarray) -> np.ndarray:

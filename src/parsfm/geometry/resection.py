@@ -5,8 +5,19 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import least_squares
 
-from .camera import CameraIntrinsics, CameraPose, angle_axis_to_matrix, project_rotation
-from .twoview import EstimationFailure, _svd
+from .camera import (
+    CameraIntrinsics,
+    CameraPose,
+    _intrinsic_terms,
+    angle_axis_to_matrix,
+    pinhole,
+    project_points,
+    project_rotation,
+)
+from .ransac import EstimationFailure, adaptive_ransac
+from .twoview import _svd
+
+RESECTION_MAX_ITERATIONS = 500
 
 
 def _dlt_pose(X: np.ndarray, xn: np.ndarray) -> CameraPose:
@@ -104,10 +115,9 @@ def _refine_pose(pose: CameraPose, X, px, intr: CameraIntrinsics) -> CameraPose:
     def residual(p):
         R = angle_axis_to_matrix(p[:3]) @ R0
         cam = X @ R.T + p[3:]
-        z = np.maximum(cam[:, 2], 1e-9)
-        u = intr.focal_x * cam[:, 0] / z + intr.principal_x
-        v = intr.focal_y * cam[:, 1] / z + intr.principal_y
-        return np.concatenate([u - px[:, 0], v - px[:, 1]])
+        cam[:, 2] = np.maximum(cam[:, 2], 1e-9)
+        uv = pinhole(cam, *_intrinsic_terms(intr))[0] - px
+        return np.concatenate([uv[:, 0], uv[:, 1]])
 
     sol = least_squares(residual, np.concatenate([np.zeros(3), t0]), method="lm")
     R = project_rotation(angle_axis_to_matrix(sol.x[:3]) @ R0)
@@ -118,8 +128,6 @@ def resect_camera(
     correspondences,
     intr: CameraIntrinsics,
     threshold_px: float = 4.0,
-    confidence: float = 0.999,
-    max_iterations: int = 500,
     rng=None,
 ):
     """Estimate a camera pose from 3D-point/pixel correspondences.
@@ -133,38 +141,21 @@ def resect_camera(
     px = np.array([np.asarray(q, dtype=float).reshape(2) for _, q in correspondences])
     xn = intr.normalize(px)
     rng = np.random.default_rng(rng)
-    n = len(X)
 
-    def reproj_errors(pose):
-        cam = pose.transform(X)
-        z = cam[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = intr.focal_x * cam[:, 0] / z + intr.principal_x
-            v = intr.focal_y * cam[:, 1] / z + intr.principal_y
-        err = np.hypot(u - px[:, 0], v - px[:, 1])
-        err[z <= 0] = np.inf
-        return err
+    def inliers(pose):
+        proj, z = project_points(intr, pose, X)
+        err = np.hypot(proj[:, 0] - px[:, 0], proj[:, 1] - px[:, 1])
+        return (err < threshold_px) & (z > 0)
 
-    best_mask = None
-    best_count = 0
-    iters = max_iterations
-    it = 0
-    while it < iters:
-        it += 1
-        idx = rng.choice(n, 6, replace=False)
-        try:
-            pose = _sample_pose(X[idx], xn[idx])
-        except (EstimationFailure, np.linalg.LinAlgError, ValueError):
-            continue
-        mask = reproj_errors(pose) < threshold_px
-        c = int(mask.sum())
-        if c > best_count:
-            best_count, best_mask = c, mask
-            ratio = c / n
-            denom = np.log(max(1e-12, 1.0 - ratio**6))
-            if denom < 0:
-                iters = min(max_iterations, int(np.ceil(np.log(1 - confidence) / denom)))
-    if best_mask is None or best_count < 6:
+    _, best_mask = adaptive_ransac(
+        len(X),
+        6,
+        lambda idx: _sample_pose(X[idx], xn[idx]),
+        inliers,
+        RESECTION_MAX_ITERATIONS,
+        rng,
+    )
+    if best_mask is None or best_mask.sum() < 6:
         raise EstimationFailure("no resection consensus")
 
     try:
@@ -172,7 +163,7 @@ def resect_camera(
     except (EstimationFailure, np.linalg.LinAlgError, ValueError):
         raise EstimationFailure("degenerate inlier set")
     pose = _refine_pose(pose, X[best_mask], px[best_mask], intr)
-    mask = reproj_errors(pose) < threshold_px
+    mask = inliers(pose)
     if mask.sum() < 6:
         raise EstimationFailure("refined pose lost consensus")
     return pose, mask

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .twoview import DegenerateGeometryError
+from .ransac import DegenerateGeometryError
 
 
 @dataclass

@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera import CameraIntrinsics, CameraPose, project_rotation
-
-
-class DegenerateGeometryError(Exception):
-    """Raised for geometrically degenerate inputs (parallel rays, collinear sets)."""
-
-
-class EstimationFailure(Exception):
-    """Raised when a robust estimator cannot produce a model."""
-
+from .ransac import DegenerateGeometryError, EstimationFailure, adaptive_ransac
 
 DEFAULT_MIN_TRI_ANGLE_DEG = 2.0
 
@@ -138,7 +130,6 @@ def estimate_relative_pose(
     intr1: CameraIntrinsics,
     intr2: CameraIntrinsics,
     threshold_px: float = 4.0,
-    confidence: float = 0.999,
     max_iterations: int = 1000,
     rng=None,
 ):
@@ -158,29 +149,15 @@ def estimate_relative_pose(
     f = 0.25 * (intr1.focal_x + intr1.focal_y + intr2.focal_x + intr2.focal_y)
     thr = (threshold_px / f) ** 2
 
-    n = len(m)
-    best_mask = None
-    best_E = None
-    best_count = 0
-    iters = max_iterations
-    it = 0
-    while it < iters:
-        it += 1
-        idx = rng.choice(n, 8, replace=False)
-        try:
-            E = _eight_point_essential(x1[idx], x2[idx])
-        except np.linalg.LinAlgError:
-            continue
-        mask = _sampson_error(E, x1, x2) < thr
-        c = int(mask.sum())
-        if c > best_count:
-            best_count, best_mask, best_E = c, mask, E
-            ratio = c / n
-            if ratio > 0:
-                denom = np.log(max(1e-12, 1.0 - ratio**8))
-                if denom < 0:
-                    iters = min(max_iterations, int(np.ceil(np.log(1 - confidence) / denom)))
-    if best_mask is None or best_count < 8:
+    best_E, best_mask = adaptive_ransac(
+        len(m),
+        8,
+        lambda idx: _eight_point_essential(x1[idx], x2[idx]),
+        lambda E: _sampson_error(E, x1, x2) < thr,
+        max_iterations,
+        rng,
+    )
+    if best_mask is None or best_mask.sum() < 8:
         raise EstimationFailure("no essential-matrix consensus")
 
     # refit on inliers until the consensus stops growing

@@ -4,7 +4,7 @@ from .correspond import (
     strategy_match_counts,
 )
 from .common import CommonPointSet, find_common_points
-from .ransac import MergeFailure, ransac_similarity, transform_residual
+from .ransac import MergeFailure, bidirectional_residuals, ransac_similarity
 from .merging import (
     MergeOptions,
     MergeReport,
@@ -31,6 +31,7 @@ __all__ = [
     "MergeOptions",
     "MergeReport",
     "MergeStep",
+    "bidirectional_residuals",
     "build_correspondence_graph",
     "find_common_points",
     "georeference",
@@ -40,7 +41,6 @@ __all__ = [
     "read_gcps",
     "strategy_match_counts",
     "transform_pose",
-    "transform_residual",
     "triangulate_gcp",
     "write_gcps",
 ]

@@ -10,22 +10,14 @@ from ..engine import Track, bundle_adjust, mean_reprojection_error
 from ..geometry import BaOptions, CameraPose, SimilarityTransform
 from .common import find_common_points
 from .correspond import build_correspondence_graph, strategy_match_counts
-from .ransac import (
-    DEFAULT_MERGE_THRESHOLD_PX,
-    DEFAULT_MIN_INLIER_RATIO,
-    MergeFailure,
-    ransac_similarity,
-)
+from .ransac import DEFAULT_MERGE_THRESHOLD_PX, MergeFailure, ransac_similarity
+
+FINAL_BA_ITERATIONS = 50
 
 
 @dataclass
 class MergeOptions:
     threshold_px: float = DEFAULT_MERGE_THRESHOLD_PX
-    confidence: float = 0.999
-    max_iterations: int = 10000
-    min_inlier_ratio: float = DEFAULT_MIN_INLIER_RATIO
-    final_ba: bool = True
-    ba_iterations: int = 50
     rng_seed: int = 0
 
 
@@ -160,9 +152,6 @@ def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions 
                     reference,
                     features,
                     threshold_px=opts.threshold_px,
-                    confidence=opts.confidence,
-                    max_iterations=opts.max_iterations,
-                    min_inlier_ratio=opts.min_inlier_ratio,
                     rng=rng,
                 )
             except MergeFailure:
@@ -190,7 +179,6 @@ def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions 
             break
 
     report.error_before_final_ba = mean_reprojection_error(model, features)
-    if opts.final_ba:
-        bundle_adjust(model, features, BaOptions(max_iterations=opts.ba_iterations))
+    bundle_adjust(model, features, BaOptions(max_iterations=FINAL_BA_ITERATIONS))
     report.error_after_final_ba = mean_reprojection_error(model, features)
     return model, report

@@ -7,62 +7,80 @@ import numpy as np
 
 from ..geometry import (
     DegenerateGeometryError,
-    SimilarityTransform,
+    adaptive_ransac,
+    pinhole,
     umeyama_similarity,
 )
 
 DEFAULT_MERGE_THRESHOLD_PX = 1.8
-DEFAULT_MIN_INLIER_RATIO = 0.2
+MIN_INLIER_RATIO = 0.2
+SIMILARITY_MAX_ITERATIONS = 10000
 
 
 class MergeFailure(Exception):
     """Raised when two reconstructions cannot be aligned."""
 
 
-def _observation_data(recon, pid, features):
-    """(rotations (m,3,3), translations (m,3), fx fy cx cy (m,), pixels (m,2))."""
-    _, track = recon.points[pid]
-    R, t, K, px = [], [], [], []
-    for img, kp in track.observations:
-        intr, pose = recon.cameras[img]
-        R.append(pose.rotation)
-        t.append(pose.translation)
-        K.append([intr.focal_x, intr.focal_y, intr.principal_x, intr.principal_y])
-        px.append(features[img].keypoints[kp, :2])
-    return np.array(R), np.array(t), np.array(K), np.array(px)
+def _observations(recon, pids, features):
+    """Every observation of the listed points, in order: (index into pids
+    (m,), rotations (m,3,3), translations (m,3), fx fy cx cy (m,4), pixels
+    (m,2))."""
+    owner, R, t, K, px = [], [], [], [], []
+    for k, pid in enumerate(pids):
+        for img, kp in recon.points[pid][1].observations:
+            intr, pose = recon.cameras[img]
+            owner.append(k)
+            R.append(pose.rotation)
+            t.append(pose.translation)
+            K.append([intr.focal_x, intr.focal_y, intr.principal_x, intr.principal_y])
+            px.append(features[img].keypoints[kp, :2])
+    return (
+        np.array(owner, dtype=int),
+        np.array(R).reshape(-1, 3, 3),
+        np.array(t).reshape(-1, 3),
+        np.array(K).reshape(-1, 4),
+        np.array(px).reshape(-1, 2),
+    )
 
 
-def _side_error_sq(R, t, K, px, X):
-    """Sum of squared reprojection errors of one world point; inf if any
-    camera sees it behind the lens."""
-    cam = R @ X + t
-    z = cam[:, 2]
-    if np.any(z <= 0):
-        return np.inf
-    u = K[:, 0] * cam[:, 0] / z + K[:, 2]
-    v = K[:, 1] * cam[:, 1] / z + K[:, 3]
-    return float(((u - px[:, 0]) ** 2 + (v - px[:, 1]) ** 2).sum())
+def bidirectional_residuals(pairs, source, reference, features):
+    """Scorer of common point pairs (source point id, reference point id).
 
-
-def transform_residual(pair, T: SimilarityTransform, source, reference, features):
-    """Bi-directional RMS reprojection error of one common point pair.
-
-    Projects the transformed source point into the reference cameras and the
-    inverse-transformed reference point into the source cameras:
-        r^2 = (sum_ref + sum_src) / (m + l)
-    Any behind-camera projection makes the residual +inf.
+    Returns residuals(T), the bi-directional RMS reprojection error of every
+    pair under the similarity T mapping source onto reference: the mapped
+    source point is projected into the reference cameras that see its
+    partner, the inverse-mapped reference point into the source cameras,
+        r^2 = (sum_ref + sum_src) / (m + l),
+    and r is +inf when any of these projections falls behind its camera.
+    The observations of every pair are gathered once; each call projects
+    them all at once.
     """
-    spid, rpid = pair
-    s_pos = source.points[spid][0]
-    r_pos = reference.points[rpid][0]
-    Rr, tr, Kr, pxr = _observation_data(reference, rpid, features)
-    Rs, ts, Ks, pxs = _observation_data(source, spid, features)
-    fwd = _side_error_sq(Rr, tr, Kr, pxr, T.apply(s_pos))
-    bwd = _side_error_sq(Rs, ts, Ks, pxs, T.inverse().apply(r_pos))
-    total = fwd + bwd
-    if not np.isfinite(total):
-        return np.inf
-    return float(np.sqrt(total / (len(pxr) + len(pxs))))
+    n = len(pairs)
+    src_pos = np.array([source.points[s][0] for s, _ in pairs]).reshape(n, 3)
+    ref_pos = np.array([reference.points[r][0] for _, r in pairs]).reshape(n, 3)
+    # reference observations score the mapped source points, and vice versa
+    ref_owner, *ref_obs = _observations(reference, [r for _, r in pairs], features)
+    src_owner, *src_obs = _observations(source, [s for s, _ in pairs], features)
+    R, t, K, px = (np.concatenate(parts) for parts in zip(ref_obs, src_obs))
+    slot = np.concatenate([ref_owner, n + src_owner])  # per pair and side
+    counts = np.bincount(slot, minlength=2 * n)
+    count = counts[:n] + counts[n:]
+
+    def residuals(T):
+        X = np.concatenate(
+            [T.apply(src_pos)[ref_owner], T.inverse().apply(ref_pos)[src_owner]]
+        )
+        cam = np.matmul(R, X[:, :, None])[:, :, 0] + t
+        proj, z = pinhole(cam, *K.T)
+        d = proj - px
+        sq = np.bincount(slot, weights=d[:, 0] ** 2 + d[:, 1] ** 2, minlength=2 * n)
+        behind = np.bincount(slot, weights=z <= 0, minlength=2 * n)
+        total = sq[:n] + sq[n:]
+        out = np.sqrt(total / count)
+        out[(behind[:n] + behind[n:] > 0) | ~np.isfinite(total)] = np.inf
+        return out
+
+    return residuals
 
 
 def ransac_similarity(
@@ -71,9 +89,6 @@ def ransac_similarity(
     reference,
     features,
     threshold_px: float = DEFAULT_MERGE_THRESHOLD_PX,
-    confidence: float = 0.999,
-    max_iterations: int = 10000,
-    min_inlier_ratio: float = DEFAULT_MIN_INLIER_RATIO,
     rng=None,
 ):
     """Robust similarity from common point pairs.
@@ -88,49 +103,20 @@ def ransac_similarity(
     rng = np.random.default_rng(rng)
     src_pos = np.array([source.points[s][0] for s, _ in common.pairs])
     ref_pos = np.array([reference.points[r][0] for _, r in common.pairs])
-    # per-pair observation arrays, gathered once
-    obs = [
-        (
-            _observation_data(reference, r, features),
-            _observation_data(source, s, features),
-        )
-        for s, r in common.pairs
-    ]
+    residuals = bidirectional_residuals(common.pairs, source, reference, features)
 
-    def residuals(T):
-        Tin = T.inverse()
-        s_mapped = T.apply(src_pos)
-        r_mapped = Tin.apply(ref_pos)
-        out = np.empty(n)
-        for i, ((Rr, tr, Kr, pxr), (Rs, ts, Ks, pxs)) in enumerate(obs):
-            total = _side_error_sq(Rr, tr, Kr, pxr, s_mapped[i]) + _side_error_sq(
-                Rs, ts, Ks, pxs, r_mapped[i]
-            )
-            out[i] = np.sqrt(total / (len(pxr) + len(pxs))) if np.isfinite(total) else np.inf
-        return out
+    def inliers(T):
+        return residuals(T) <= threshold_px
 
-    best_mask = None
-    best_count = 0
-    iters = max_iterations
-    it = 0
-    while it < iters:
-        it += 1
-        idx = rng.choice(n, 3, replace=False)
-        try:
-            T, _ = umeyama_similarity(src_pos[idx], ref_pos[idx])
-        except DegenerateGeometryError:
-            continue
-        mask = residuals(T) <= threshold_px
-        c = int(mask.sum())
-        if c > best_count:
-            best_count, best_mask = c, mask
-            ratio = c / n
-            denom = np.log(max(1e-12, 1.0 - ratio**3))
-            if denom < 0:
-                iters = min(
-                    max_iterations, int(np.ceil(np.log(1 - confidence) / denom))
-                )
-    if best_mask is None or best_count < 3:
+    _, best_mask = adaptive_ransac(
+        n,
+        3,
+        lambda idx: umeyama_similarity(src_pos[idx], ref_pos[idx])[0],
+        inliers,
+        SIMILARITY_MAX_ITERATIONS,
+        rng,
+    )
+    if best_mask is None or best_mask.sum() < 3:
         raise MergeFailure("no similarity consensus")
 
     # final re-estimate on the inliers, then reclassify
@@ -139,15 +125,15 @@ def ransac_similarity(
             T, mse = umeyama_similarity(src_pos[best_mask], ref_pos[best_mask])
         except DegenerateGeometryError:
             raise MergeFailure("degenerate inlier set")
-        mask = residuals(T) <= threshold_px
+        mask = inliers(T)
         if mask.sum() < 3:
             raise MergeFailure("refined transform lost consensus")
         grew = mask.sum() > best_mask.sum()
         best_mask = mask
         if not grew:
             break
-    if best_mask.sum() / n < min_inlier_ratio:
+    if best_mask.sum() / n < MIN_INLIER_RATIO:
         raise MergeFailure(
-            f"inlier ratio {best_mask.sum() / n:.3f} below {min_inlier_ratio}"
+            f"inlier ratio {best_mask.sum() / n:.3f} below {MIN_INLIER_RATIO}"
         )
     return T, best_mask, mse

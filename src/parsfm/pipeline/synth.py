@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..geometry import CameraIntrinsics, CameraPose, matrix_to_quaternion
+from ..geometry import CameraIntrinsics, CameraPose, matrix_to_quaternion, project_points
 from ..matchgraph import FeatureSet, ImageMeta, MatchPair
 from ..matchgraph.dataset import Dataset, write_dataset
 from ..merge import GcpRecord, write_gcps
@@ -188,20 +188,16 @@ def generate_synthetic(cfg: SynthConfig):
     visibility = {}
     gt_poses = {}
     for img, pose in enumerate(poses):
-        cam = pose.transform(points)
-        z = cam[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = intr.focal_x * cam[:, 0] / z + intr.principal_x
-            v = intr.focal_y * cam[:, 1] / z + intr.principal_y
+        uv, z = project_points(intr, pose, points)
         vis = (
             (z > 1.0)
-            & (u >= 0)
-            & (u < cfg.image_width)
-            & (v >= 0)
-            & (v < cfg.image_height)
+            & (uv[:, 0] >= 0)
+            & (uv[:, 0] < cfg.image_width)
+            & (uv[:, 1] >= 0)
+            & (uv[:, 1] < cfg.image_height)
         )
         ids = np.nonzero(vis)[0]
-        px = np.column_stack([u[ids], v[ids]])
+        px = uv[ids]
         if cfg.pixel_noise:
             px = px + rng.normal(0.0, cfg.pixel_noise, px.shape)
         scales = rng.uniform(1.0, 4.0, len(ids))
@@ -258,13 +254,12 @@ def generate_synthetic(cfg: SynthConfig):
         for gid, world in enumerate(marks):
             obs = []
             for img, pose in gt_poses.items():
-                cam = pose.transform(world)[0]
-                if cam[2] <= 1.0:
+                uv, z = project_points(intr, pose, world)
+                if z[0] <= 1.0:
                     continue
-                u = intr.focal_x * cam[0] / cam[2] + intr.principal_x
-                v = intr.focal_y * cam[1] / cam[2] + intr.principal_y
+                u, v = uv[0]
                 if 0 <= u < cfg.image_width and 0 <= v < cfg.image_height:
-                    px = np.array([u, v])
+                    px = uv[0]
                     if cfg.pixel_noise:
                         px = px + rng.normal(0.0, cfg.pixel_noise, 2)
                     obs.append((img, px))

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from parsfm.geometry import (
+    RANSAC_CONFIDENCE,
     BehindCameraError,
     CameraIntrinsics,
     CameraPose,
     DegenerateGeometryError,
     EstimationFailure,
     SimilarityTransform,
+    adaptive_ransac,
     estimate_relative_pose,
     project,
     resect_camera,
@@ -411,6 +413,59 @@ class TestKernelOracles:
         H_loop, M_loop = _homography_loop(src, dst)
         assert np.array_equal(_homography(src, dst), H_loop)
         assert np.array_equal(seen.pop(), M_loop)
+
+
+class TestAdaptiveRansac:
+    def _run(self, n, k, inlier_count, max_iterations=10000, fail=()):
+        """Run the loop on a fixed consensus; returns (model, mask, samples)."""
+        samples = []
+
+        def fit(idx):
+            samples.append(idx)
+            if len(samples) in fail:
+                raise EstimationFailure("degenerate sample")
+            return len(samples)
+
+        def inliers(model):
+            return np.arange(n) < inlier_count
+
+        model, mask = adaptive_ransac(
+            n, k, fit, inliers, max_iterations, np.random.default_rng(5)
+        )
+        return model, mask, samples
+
+    def test_all_inliers_stop_after_first_hypothesis(self):
+        model, mask, samples = self._run(50, 3, 50)
+        assert len(samples) == 1
+        assert model == 1 and mask.all()
+
+    def test_known_ratio_stops_at_confidence_bound(self):
+        for n, k, c in ((100, 3, 50), (200, 6, 150), (300, 8, 240)):
+            ratio = c / n
+            expect = int(np.ceil(np.log(1 - RANSAC_CONFIDENCE) / np.log(1 - ratio**k)))
+            assert RANSAC_CONFIDENCE == 0.999 and expect > 1
+            _, mask, samples = self._run(n, k, c)
+            assert len(samples) == expect
+            assert mask.sum() == c
+            # the bound never exceeds the caller's cap
+            _, _, capped = self._run(n, k, c, max_iterations=expect - 1)
+            assert len(capped) == expect - 1
+
+    def test_sample_that_raises_is_skipped(self):
+        model, mask, samples = self._run(40, 3, 40, fail={1})
+        # the first sample raised, the second one is the model
+        assert len(samples) == 2 and model == 2 and mask.all()
+        # every sample draws from the generator, skipped ones too
+        rng = np.random.default_rng(5)
+        for idx in samples:
+            assert np.array_equal(idx, rng.choice(40, 3, replace=False))
+
+    def test_no_usable_sample(self):
+        model, mask, samples = self._run(20, 3, 20, max_iterations=7, fail=range(1, 8))
+        assert model is None and mask is None
+        assert len(samples) == 7
+        model, mask, samples = self._run(20, 3, 0, max_iterations=7)
+        assert model is None and mask is None and len(samples) == 7
 
 
 class TestUmeyama:

@@ -18,11 +18,11 @@ from parsfm.merge import (
     georeference,
     merge_all,
     merge_pair,
+    bidirectional_residuals,
     ransac_similarity,
     read_gcps,
     strategy_match_counts,
     transform_pose,
-    transform_residual,
     write_gcps,
 )
 from parsfm.merge.merging import MergeOptions
@@ -141,27 +141,63 @@ class TestFindCommonPoints:
         assert common.pairs == [(0, 10)]
 
 
+def transform_residual(pair, T, source, reference, features):
+    """Reference: bi-directional RMS reprojection error of one common point
+    pair, one point and one camera at a time."""
+    spid, rpid = pair
+
+    def side_error_sq(recon, pid, X):
+        total = 0.0
+        for img, kp in recon.points[pid][1].observations:
+            intr, pose = recon.cameras[img]
+            cam = pose.rotation @ X + pose.translation
+            if cam[2] <= 0:
+                return np.inf
+            u = intr.focal_x * cam[0] / cam[2] + intr.principal_x
+            v = intr.focal_y * cam[1] / cam[2] + intr.principal_y
+            px = features[img].keypoints[kp, :2]
+            total += (u - px[0]) ** 2 + (v - px[1]) ** 2
+        return total
+
+    fwd = side_error_sq(reference, rpid, T.apply(source.points[spid][0]))
+    bwd = side_error_sq(source, spid, T.inverse().apply(reference.points[rpid][0]))
+    total = fwd + bwd
+    if not np.isfinite(total):
+        return np.inf
+    m = len(reference.points[rpid][1].observations)
+    l = len(source.points[spid][1].observations)
+    return float(np.sqrt(total / (m + l)))
+
+
+def pair_residual(pair, T, source, reference, features):
+    """The batched scorer evaluated on a single pair."""
+    return bidirectional_residuals([pair], source, reference, features)(T)[0]
+
+
+def noisy_features(features, rng, sigma=0.5):
+    return {
+        img: FeatureSet(
+            img,
+            np.hstack(
+                [
+                    fs.keypoints[:, :2] + rng.normal(0, sigma, (len(fs), 2)),
+                    fs.keypoints[:, 2:],
+                ]
+            ),
+            fs.descriptors,
+        )
+        for img, fs in features.items()
+    }
+
+
 class TestTransformResidual:
     def test_identity_equals_own_rms(self):
         scene = make_scene(n_cams=5, n_pts=20, seed=6)
         recon = gt_reconstruction(scene)
-        rng = np.random.default_rng(7)
-        noisy = {
-            img: FeatureSet(
-                img,
-                np.hstack(
-                    [
-                        fs.keypoints[:, :2] + rng.normal(0, 0.5, (len(fs), 2)),
-                        fs.keypoints[:, 2:],
-                    ]
-                ),
-                fs.descriptors,
-            )
-            for img, fs in scene["features"].items()
-        }
+        noisy = noisy_features(scene["features"], np.random.default_rng(7))
         T = SimilarityTransform.identity()
         for pid in [0, 5, 19]:
-            r = transform_residual((pid, pid), T, recon, recon, noisy)
+            r = pair_residual((pid, pid), T, recon, recon, noisy)
             errs = []
             for img, kp in recon.points[pid][1].observations:
                 intr, pose = recon.cameras[img]
@@ -185,7 +221,7 @@ class TestTransformResidual:
         T = random_similarity(np.random.default_rng(9))
         ref = transform_recon(src, T)
         for pid in range(0, 30, 5):
-            r = transform_residual((pid, pid), T, src, ref, scene["features"])
+            r = pair_residual((pid, pid), T, src, ref, scene["features"])
             assert r < 1e-9
 
     def test_wrong_scale_large(self):
@@ -193,8 +229,8 @@ class TestTransformResidual:
         src = gt_reconstruction(scene)
         T_true = SimilarityTransform(2.0, np.eye(3), np.zeros(3))
         ref = transform_recon(src, T_true)
-        r = transform_residual((0, 0), SimilarityTransform.identity(), src, ref,
-                               scene["features"])
+        r = pair_residual((0, 0), SimilarityTransform.identity(), src, ref,
+                          scene["features"])
         assert r > 10.0
 
     def test_symmetry_under_role_swap(self):
@@ -203,8 +239,8 @@ class TestTransformResidual:
         T = random_similarity(np.random.default_rng(12))
         ref = transform_recon(src, T)
         for pid in range(0, 30, 7):
-            fwd = transform_residual((pid, pid), T, src, ref, scene["features"])
-            bwd = transform_residual(
+            fwd = pair_residual((pid, pid), T, src, ref, scene["features"])
+            bwd = pair_residual(
                 (pid, pid), T.inverse(), ref, src, scene["features"]
             )
             assert abs(fwd - bwd) < 1e-9
@@ -214,8 +250,35 @@ class TestTransformResidual:
         recon = gt_reconstruction(scene)
         # push the mapped point far behind every camera
         T = SimilarityTransform(1.0, np.eye(3), np.array([0.0, 0.0, 1e6]))
-        r = transform_residual((0, 0), T, recon, recon, scene["features"])
+        r = pair_residual((0, 0), T, recon, recon, scene["features"])
         assert np.isinf(r)
+
+
+    def test_batched_matches_per_point_reference(self):
+        scene = make_scene(n_cams=12, n_pts=40, seed=31, noise=0.5)
+        rng = np.random.default_rng(32)
+        src = gt_reconstruction(scene, images=range(0, 8))
+        T_true = random_similarity(rng)
+        ref = transform_recon(gt_reconstruction(scene, images=range(3, 12)), T_true)
+        features = noisy_features(scene["features"], rng)
+        # reversed pairing so pairs and point ids do not line up
+        pairs = [(k, k) for k in range(40)] + [(k, 39 - k) for k in range(0, 40, 3)]
+        scorer = bidirectional_residuals(pairs, src, ref, features)
+        # the true transform, random ones, and one pushing points behind
+        behind = SimilarityTransform(1.0, np.eye(3), np.array([0.0, 0.0, 1e6]))
+        transforms = [T_true, behind] + [random_similarity(rng) for _ in range(6)]
+        seen_inf = seen_finite = False
+        for T in transforms:
+            got = scorer(T)
+            expect = np.array(
+                [transform_residual(p, T, src, ref, features) for p in pairs]
+            )
+            finite = np.isfinite(expect)
+            assert np.array_equal(np.isfinite(got), finite)
+            np.testing.assert_allclose(got[finite], expect[finite], rtol=1e-12)
+            seen_inf |= not finite.all()
+            seen_finite |= finite.any()
+        assert seen_inf and seen_finite
 
 
 class TestRansacSimilarity:
