@@ -33,7 +33,6 @@ class BaOptions:
     gradient_tolerance: float = 1e-12
     parameter_tolerance: float = 1e-12
     function_tolerance: float = 1e-8  # relative cost decrease per iteration
-    fix_intrinsics: bool = True
     fixed_point_ids: set = field(default_factory=set)
     fixed_camera_ids: set = field(default_factory=set)
 
@@ -46,8 +45,6 @@ class BaOptions:
             or self.function_tolerance <= 0
         ):
             raise ValueError("tolerances must be positive")
-        if not self.fix_intrinsics:
-            raise ValueError("intrinsics are calibrated and always fixed")
 
 
 @dataclass

@@ -51,11 +51,8 @@ class CameraIntrinsics:
 
     def normalize(self, pixels: np.ndarray) -> np.ndarray:
         """Pixel coordinates -> normalized camera-plane coordinates."""
-        px = np.atleast_2d(np.asarray(pixels, dtype=float))
-        out = np.empty_like(px)
-        out[:, 0] = (px[:, 0] - self.principal_x) / self.focal_x
-        out[:, 1] = (px[:, 1] - self.principal_y) / self.focal_y
-        return out.reshape(np.shape(pixels))
+        px = np.asarray(pixels, dtype=float)
+        return (px - (self.principal_x, self.principal_y)) / (self.focal_x, self.focal_y)
 
 
 @dataclass

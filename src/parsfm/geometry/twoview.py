@@ -15,22 +15,19 @@ def _svd(A: np.ndarray):
     return np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
 
 
-def _ray_directions(intr: CameraIntrinsics, pose: CameraPose, pixel) -> np.ndarray:
-    """Unit viewing ray in world coordinates."""
-    n = intr.normalize(np.asarray(pixel, dtype=float))
-    d = pose.rotation.T @ np.array([n[0], n[1], 1.0])
-    return d / np.linalg.norm(d)
-
-
 def triangulation_angle(observations) -> float:
     """Maximum pairwise angle (radians) between viewing rays."""
-    rays = [_ray_directions(intr, pose, px) for intr, pose, px in observations]
-    best = 0.0
-    for i in range(len(rays)):
-        for j in range(i + 1, len(rays)):
-            c = np.clip(abs(np.dot(rays[i], rays[j])), -1.0, 1.0)
-            best = max(best, np.arccos(c))
-    return best
+    n = np.ones((len(observations), 3))
+    R = np.empty((len(observations), 3, 3))
+    for k, (intr, pose, px) in enumerate(observations):
+        n[k, :2] = intr.normalize(px)
+        R[k] = pose.rotation
+    rays = np.einsum("kji,kj->ki", R, n)  # world direction R^T n of each ray
+    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+    # the widest pair has the smallest |cos|; the diagonal pairs a ray with itself
+    gram = np.abs(rays @ rays.T)
+    np.fill_diagonal(gram, 1.0)
+    return float(np.arccos(min(gram.min(), 1.0)))
 
 
 def triangulate(observations, min_tri_angle_deg: float = DEFAULT_MIN_TRI_ANGLE_DEG):

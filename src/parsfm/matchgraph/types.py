@@ -103,15 +103,6 @@ class MatchGraph:
     def pair(self, a: int, b: int):
         return self.edges[(min(a, b), max(a, b))][1]
 
-    def neighbors(self, v: int):
-        out = []
-        for (a, b) in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
     def adjacency(self) -> dict:
         adj = {v: [] for v in self.vertices}
         for (a, b), (w, _) in self.edges.items():

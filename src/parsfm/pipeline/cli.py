@@ -109,8 +109,9 @@ def main(argv=None):
         return 0
 
     if args.command in ("graph", "wcds", "cluster"):
+        from ..graphalgo import extract_wcds, normalized_cut
         from ..matchgraph.dataset import read_dataset
-        from .run import build_graph
+        from .run import build_graph, write_clusters, write_graph, write_wcds
 
         config = PipelineConfig(
             min_matches=args.min_matches,
@@ -121,27 +122,11 @@ def main(argv=None):
         dataset = read_dataset(args.dataset)
         _, graph = build_graph(dataset, config)
         if args.command == "graph":
-            with open(args.output, "w") as fh:
-                for v in sorted(graph.vertices):
-                    fh.write(f"VERTEX {v}\n")
-                for (a, b), (w, _) in sorted(graph.edges.items()):
-                    fh.write(f"EDGE {a} {b} {w:.17g}\n")
+            write_graph(args.output, graph)
         elif args.command == "wcds":
-            from ..graphalgo import extract_wcds
-
-            res = extract_wcds(graph, args.r_vw)
-            with open(args.output, "w") as fh:
-                for v in res.selected_vertices:
-                    fh.write(f"WCDS {v}\n")
+            write_wcds(args.output, extract_wcds(graph, args.r_vw))
         else:
-            from ..graphalgo import normalized_cut
-
-            res = normalized_cut(graph, args.max_size)
-            with open(args.output, "w") as fh:
-                for i, c in enumerate(res.clusters):
-                    fh.write(
-                        "CLUSTER %d %s\n" % (i, " ".join(str(v) for v in sorted(c)))
-                    )
+            write_clusters(args.output, normalized_cut(graph, args.max_size))
         print(f"wrote {args.output}")
         return 0
 

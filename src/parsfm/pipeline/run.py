@@ -69,6 +69,26 @@ def build_graph(dataset, config: PipelineConfig):
     return pairs, graph
 
 
+def write_graph(path, graph) -> None:
+    with open(path, "w") as fh:
+        for v in sorted(graph.vertices):
+            fh.write(f"VERTEX {v}\n")
+        for (a, b), (w, _) in sorted(graph.edges.items()):
+            fh.write(f"EDGE {a} {b} {_F % w}\n")
+
+
+def write_wcds(path, wcds) -> None:
+    with open(path, "w") as fh:
+        for v in wcds.selected_vertices:
+            fh.write(f"WCDS {v}\n")
+
+
+def write_clusters(path, clustering) -> None:
+    with open(path, "w") as fh:
+        for i, c in enumerate(clustering.clusters):
+            fh.write("CLUSTER %d %s\n" % (i, " ".join(str(v) for v in sorted(c))))
+
+
 def _subset_task(payload):
     """Worker entry: reconstruct one image subset from its own match pairs."""
     subset, features, pairs, intrinsics, opts, recon_id = payload
@@ -179,17 +199,9 @@ def _write_artifacts(
 ):
     out = config.output_dir
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "graph.txt"), "w") as fh:
-        for v in sorted(graph.vertices):
-            fh.write(f"VERTEX {v}\n")
-        for (a, b), (w, _) in sorted(graph.edges.items()):
-            fh.write(f"EDGE {a} {b} {_F % w}\n")
-    with open(os.path.join(out, "wcds.txt"), "w") as fh:
-        for v in wcds.selected_vertices:
-            fh.write(f"WCDS {v}\n")
-    with open(os.path.join(out, "clusters.txt"), "w") as fh:
-        for i, c in enumerate(clustering.clusters):
-            fh.write("CLUSTER %d %s\n" % (i, " ".join(str(v) for v in sorted(c))))
+    write_graph(os.path.join(out, "graph.txt"), graph)
+    write_wcds(os.path.join(out, "wcds.txt"), wcds)
+    write_clusters(os.path.join(out, "clusters.txt"), clustering)
     write_reconstruction(os.path.join(out, "recon_skeleton.txt"), skeleton)
     for recon in clusters:
         write_reconstruction(

@@ -3,6 +3,7 @@
 import numpy as np
 
 from parsfm.geometry import CameraIntrinsics, CameraPose
+from parsfm.graphalgo import connected_components
 
 
 def default_intrinsics(width=1000, height=800, focal=900.0):
@@ -93,3 +94,38 @@ def make_scene(
         "gt_poses": gt_poses,
         "pairs": pairs,
     }
+
+
+def mcds_reference(graph):
+    """Independent neighbor-count-only greedy (same tie-breaking).
+
+    Kept separate from extract_wcds so the r_vw = 1 reduction can be checked
+    against code that never touches edge weights.
+    """
+    adj = {v: sorted(u for u, _ in edges) for v, edges in graph.adjacency().items()}
+    selected_all = []
+    for comp in connected_components(graph):
+        if len(comp) == 1:
+            selected_all.extend(comp)
+            continue
+        white = set(comp)
+        gray = set()
+        black = set()
+
+        def n_white(v):
+            return sum(1 for u in adj[v] if u in white)
+
+        current = min(comp, key=lambda v: (-n_white(v), v))
+        while True:
+            white.discard(current)
+            gray.discard(current)
+            black.add(current)
+            selected_all.append(current)
+            for u in adj[current]:
+                if u in white:
+                    white.remove(u)
+                    gray.add(u)
+            if not white:
+                break
+            current = min(gray, key=lambda v: (-n_white(v), v))
+    return selected_all

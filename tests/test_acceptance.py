@@ -27,7 +27,6 @@ from parsfm.geometry import (
 )
 from parsfm.geometry.ba import _Problem
 from parsfm.graphalgo import extract_wcds
-from parsfm.graphalgo.wcds import mcds_reference
 from parsfm.matchgraph import MatchGraph
 from parsfm.matchgraph.dataset import read_dataset
 from parsfm.merge import find_common_points, build_correspondence_graph, georeference, ransac_similarity
@@ -40,7 +39,7 @@ from parsfm.pipeline import (
     write_synthetic,
 )
 
-from helpers import make_scene, random_rotation
+from helpers import make_scene, mcds_reference, random_rotation
 from test_merge import gt_reconstruction, random_similarity, transform_recon
 
 

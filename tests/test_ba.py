@@ -146,5 +146,3 @@ class TestBaOptions:
             BaOptions(max_iterations=0)
         with pytest.raises(ValueError):
             BaOptions(gradient_tolerance=0.0)
-        with pytest.raises(ValueError):
-            BaOptions(fix_intrinsics=False)

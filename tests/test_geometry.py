@@ -14,6 +14,7 @@ from parsfm.geometry import (
     project,
     resect_camera,
     triangulate,
+    triangulation_angle,
     umeyama_similarity,
 )
 from parsfm.geometry import resection
@@ -329,7 +330,41 @@ def _spy_svd(monkeypatch):
     return seen
 
 
+def _triangulation_angle_loop(observations):
+    """Reference: widest ray pair by an explicit double loop."""
+    rays = []
+    for intr, pose, px in observations:
+        n = intr.normalize(np.asarray(px, dtype=float))
+        d = pose.rotation.T @ np.array([n[0], n[1], 1.0])
+        rays.append(d / np.linalg.norm(d))
+    best = 0.0
+    for i in range(len(rays)):
+        for j in range(i + 1, len(rays)):
+            c = np.clip(abs(np.dot(rays[i], rays[j])), -1.0, 1.0)
+            best = max(best, np.arccos(c))
+    return best
+
+
 class TestKernelOracles:
+    def test_triangulation_angle_matches_loop(self):
+        rng = np.random.default_rng(117)
+        intr = default_intrinsics()
+        for views in (2, 3, 6):
+            for _ in range(20):
+                X = rng.normal(size=3)
+                poses = [
+                    look_at_pose(X + rng.normal(size=3) * 3 + (0, 0, 8), X)
+                    for _ in range(views)
+                ]
+                obs = [(intr, p, project(intr, p, X)) for p in poses]
+                expect = _triangulation_angle_loop(obs)
+                assert expect > 1e-3
+                assert abs(triangulation_angle(obs) - expect) < 1e-12
+        # parallel rays: both report no angle at all
+        p = look_at_pose((0, -5, 0), (0, 0, 0))
+        obs = [(intr, p, project(intr, p, (0.3, 0.1, 0.2)))] * 3
+        assert triangulation_angle(obs) == _triangulation_angle_loop(obs) == 0.0
+
     def _two_view(self, rng, n, noise=1e-3):
         R = angle_axis_to_matrix(rng.normal(scale=0.3, size=3))
         t = rng.normal(size=3)

@@ -10,8 +10,9 @@ from parsfm.graphalgo import (
     normalized_cut,
 )
 from parsfm.graphalgo.ncut import _best_bisection
-from parsfm.graphalgo.wcds import mcds_reference
 from parsfm.matchgraph import MatchGraph
+
+from helpers import mcds_reference
 
 
 def make_graph(edges, extra_vertices=()):

@@ -297,6 +297,16 @@ class TestCli:
             "eval", "--dataset", str(ds),
             "--recon", str(out / "merged.txt"), "--ground-truth", str(gt),
         ]) == 0
+        # the stage commands write the pipeline's own artifacts byte for byte
+        wcds = tmp_path / "wcds.txt"
+        clusters = tmp_path / "clusters.txt"
+        assert cli_main(["wcds", "--dataset", str(ds), "--output", str(wcds)]) == 0
+        assert cli_main([
+            "cluster", "--dataset", str(ds), "--output", str(clusters),
+            "--max-size", "6",
+        ]) == 0
+        for dump in (graph, wcds, clusters):
+            assert filecmp.cmp(dump, out / dump.name, shallow=False)
 
     def test_wcds_and_cluster_commands(self, tmp_path):
         ds = tmp_path / "ds.txt"
