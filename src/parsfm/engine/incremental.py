@@ -70,13 +70,14 @@ def _median_angle_deg(pose2, intr1, intr2, pixels):
 def select_seed_pair(
     graph, features, intrinsics, opts: EngineOptions = None, rng=None, exclude=frozenset()
 ):
-    """Pick the initial image pair.
+    """Pick the initial image pair and its relative pose.
 
     Candidates are edges ranked by inlier count (descending, ties by pair id);
-    the first whose provisional relative pose gives a median triangulation
-    angle >= seed_min_angle wins. Pairs listed in `exclude` (previously tried
-    seeds) are skipped. Returns ((a, b), fallback) where fallback marks that
-    every candidate was degenerate and the max-inlier pair was returned anyway.
+    the first whose relative pose gives a median triangulation angle >=
+    seed_min_angle wins. Pairs listed in `exclude` (previously tried seeds)
+    are skipped. When every candidate is degenerate, the best-ranked one with
+    a relative pose is returned anyway. Returns ((a, b), pose of b relative
+    to a); raises SeedFailure when no candidate yields a relative pose.
     """
     opts = opts or EngineOptions()
     rng = np.random.default_rng(rng)
@@ -86,6 +87,7 @@ def select_seed_pair(
     ranked = [k for k in ranked if tuple(k) not in exclude]
     if not ranked:
         raise SeedFailure("every seed candidate is excluded")
+    fallback = None
     for a, b in ranked:
         pair = graph.pair(a, b)
         if pair.inlier_count < 8:
@@ -103,8 +105,12 @@ def select_seed_pair(
             continue
         angle = _median_angle_deg(pose2, intrinsics[a], intrinsics[b], pixels[mask])
         if angle >= opts.seed_min_angle_deg:
-            return (a, b), False
-    return ranked[0], True
+            return (a, b), pose2
+        if fallback is None:
+            fallback = (a, b), pose2
+    if fallback is None:
+        raise SeedFailure("no seed candidate yields a relative pose")
+    return fallback
 
 
 class _Builder:
@@ -231,19 +237,10 @@ class _Builder:
                 g.add_edge(*p.key(), 0.5, p)
         if not g.edges:
             raise SeedFailure("no image pair has enough matches to initialize")
-        (a, b), _ = select_seed_pair(
+        (a, b), pose2 = select_seed_pair(
             g, self.features, self.intrinsics, self.opts, rng=self.rng, exclude=exclude
         )
         self.seed_key = (a, b)
-        pair = g.pair(a, b)
-        pixels = _pair_pixels(pair, self.features)
-        pose2, _ = estimate_relative_pose(
-            pixels,
-            self.intrinsics[a],
-            self.intrinsics[b],
-            threshold_px=self.opts.ransac_threshold_px,
-            rng=self.rng,
-        )
         self.poses[a] = CameraPose.identity()
         self.poses[b] = pose2
         self.order = [a, b]

@@ -14,7 +14,7 @@ from parsfm.engine import (
     validate_reconstruction,
     write_reconstruction,
 )
-from parsfm.engine.incremental import SeedFailure
+from parsfm.engine.incremental import SeedFailure, _median_angle_deg, _pair_pixels
 from parsfm.geometry import CameraPose, project, umeyama_similarity
 from parsfm.matchgraph import FeatureSet, MatchGraph, MatchPair
 
@@ -107,15 +107,23 @@ def pair_graph(pairs):
     return g
 
 
+def seed_angle_deg(g, pair, pose, features, intrinsics):
+    """Median ray angle of the seed pair's matches under its returned pose."""
+    a, b = pair
+    pixels = _pair_pixels(g.pair(a, b), features)
+    return _median_angle_deg(pose, intrinsics[a], intrinsics[b], pixels)
+
+
 class TestSeedSelection:
     def test_single_edge(self):
         scene = make_scene(n_cams=2, n_pts=40, ring_k=1)
         g = pair_graph(scene["pairs"])
-        (a, b), fallback = select_seed_pair(
+        (a, b), pose = select_seed_pair(
             g, scene["features"], scene["intrinsics"], rng=0
         )
         assert (a, b) == (0, 1)
-        assert not fallback
+        angle = seed_angle_deg(g, (a, b), pose, scene["features"], scene["intrinsics"])
+        assert angle >= EngineOptions().seed_min_angle_deg
 
     def test_prefers_wide_baseline_over_near_rotation(self):
         rng = np.random.default_rng(2)
@@ -141,9 +149,10 @@ class TestSeedSelection:
                 MatchPair(2, 3, all_idx[:50]),
             ]
         )
-        (a, b), fallback = select_seed_pair(g, features, intrinsics, rng=0)
+        (a, b), pose = select_seed_pair(g, features, intrinsics, rng=0)
         assert (a, b) == (2, 3)
-        assert not fallback
+        angle = seed_angle_deg(g, (a, b), pose, features, intrinsics)
+        assert angle >= EngineOptions().seed_min_angle_deg
 
     def test_all_degenerate_falls_back(self):
         rng = np.random.default_rng(3)
@@ -158,9 +167,12 @@ class TestSeedSelection:
             features[img] = FeatureSet(img, kp, np.zeros((len(pts), 2)))
         idx = np.stack([np.arange(40), np.arange(40)], axis=1)
         g = pair_graph([MatchPair(0, 1, idx)])
-        pair, fallback = select_seed_pair(g, features, {0: intr, 1: intr}, rng=0)
+        intrinsics = {0: intr, 1: intr}
+        pair, pose = select_seed_pair(g, features, intrinsics, rng=0)
         assert pair == (0, 1)
-        assert fallback
+        # the gate failed, and the pose returned is the one it was checked on
+        angle = seed_angle_deg(g, pair, pose, features, intrinsics)
+        assert angle < EngineOptions().seed_min_angle_deg
 
     def test_empty_graph_raises(self):
         with pytest.raises(SeedFailure):
@@ -269,9 +281,9 @@ class TestIncrementalReconstruct:
                 scene["images"], {}, scene["features"], [], scene["intrinsics"]
             )
 
-    def test_failed_seed_pair_falls_through_to_next(self):
-        # 12-image nadir block, scene seed 7, sigma 0.4 px: the best-ranked
-        # pair of images 0-3 triangulates too few points to start from
+    @staticmethod
+    def _scene_seed_7_block():
+        """12-image nadir block, scene seed 7, sigma 0.4 px, images 0-3."""
         from parsfm.pipeline import SynthConfig, generate_synthetic
 
         ds, _, _, _ = generate_synthetic(
@@ -281,14 +293,40 @@ class TestIncrementalReconstruct:
         for img in sorted(ds.features):
             kp = ds.features[img].keypoints
             kp[:, :2] += rng.normal(0.0, 0.4, (len(kp), 2))
-        subset = [0, 1, 2, 3]  # with 15838, as run_pipeline reconstructs it
-        args = (subset, {}, ds.features, ds.pairs, ds.intrinsics)
+        subset = [0, 1, 2, 3]
+        return subset, ds, (subset, {}, ds.features, ds.pairs, ds.intrinsics)
+
+    def test_failed_seed_pair_falls_through_to_next(self):
+        # with engine seed 7 the best-ranked pair (1, 2) passes the angle
+        # gate on a pose 12 degrees off in rotation (the scene is nearly
+        # planar), and that pose triangulates too few points to start from
+        subset, ds, args = self._scene_seed_7_block()
         with pytest.raises(SeedFailure, match="too few triangulated"):
-            incremental_reconstruct(
-                *args, EngineOptions(rng_seed=15838, max_seed_attempts=1)
-            )
-        recon = incremental_reconstruct(*args, EngineOptions(rng_seed=15838))
+            incremental_reconstruct(*args, EngineOptions(rng_seed=7, max_seed_attempts=1))
+        recon = incremental_reconstruct(*args, EngineOptions(rng_seed=7))
         assert set(recon.cameras) == set(subset)
+        validate_reconstruction(recon, ds.features)
+
+    def test_seed_pose_checked_by_the_gate_is_reused(self, monkeypatch):
+        # with engine seed 15838 (as run_pipeline reconstructs this subset)
+        # a second estimate of the seed pair's pose used to come out wrong
+        # and triangulate too few points; the checked pose seeds the run
+        import parsfm.engine.incremental as incremental
+
+        calls = []
+        real = incremental.estimate_relative_pose
+
+        def counting(*a, **kw):
+            calls.append(1)
+            return real(*a, **kw)
+
+        monkeypatch.setattr(incremental, "estimate_relative_pose", counting)
+        _, ds, args = self._scene_seed_7_block()
+        opts = EngineOptions(rng_seed=15838, max_seed_attempts=1)
+        recon = incremental_reconstruct(*args, opts)
+        assert len(calls) == 1  # the best-ranked pair passes the gate
+        assert recon.registered_order[:2] == [1, 2]
+        assert recon.num_points() >= opts.min_resection_corrs
         validate_reconstruction(recon, ds.features)
 
     def test_every_seed_attempt_failing_raises(self):
