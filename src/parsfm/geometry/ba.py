@@ -15,13 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse as sp_sparse
 
-from .camera import (
-    CameraIntrinsics,
-    CameraPose,
-    angle_axis_to_matrix,
-    pinhole,
-    project_rotation,
-)
+from .camera import CameraPose, angle_axis_to_matrix, pinhole, project_rotation
 
 # penalty cost for an observation whose point falls behind the camera
 _BEHIND_PENALTY = 1e12
