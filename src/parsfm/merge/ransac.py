@@ -62,7 +62,8 @@ def bidirectional_residuals(pairs, source, reference, features):
     ref_owner, *ref_obs = _observations(reference, [r for _, r in pairs], features)
     src_owner, *src_obs = _observations(source, [s for s, _ in pairs], features)
     R, t, K, px = (np.concatenate(parts) for parts in zip(ref_obs, src_obs))
-    slot = np.concatenate([ref_owner, n + src_owner])  # per pair and side
+    # pair i sums its reference side into slot i and its source side into n + i
+    slot = np.concatenate([ref_owner, n + src_owner])
     counts = np.bincount(slot, minlength=2 * n)
     count = counts[:n] + counts[n:]
 
