@@ -8,7 +8,6 @@ from scipy.optimize import least_squares
 from .camera import (
     CameraIntrinsics,
     CameraPose,
-    _intrinsic_terms,
     angle_axis_to_matrix,
     pinhole,
     project_points,
@@ -101,11 +100,17 @@ def _planar_pose(X: np.ndarray, xn: np.ndarray) -> CameraPose:
 
 
 def _sample_pose(X: np.ndarray, xn: np.ndarray) -> CameraPose:
-    """DLT pose, switching to the planar branch for flat correspondence sets."""
+    """DLT pose, switching to the planar branch for flat correspondence sets.
+
+    Raises EstimationFailure when the solve gives no valid rotation.
+    """
     s = np.linalg.svd(X - X.mean(axis=0), compute_uv=False)
-    if s[2] < 0.05 * s[0]:
-        return _planar_pose(X, xn)
-    return _dlt_pose(X, xn)
+    try:
+        if s[2] < 0.05 * s[0]:
+            return _planar_pose(X, xn)
+        return _dlt_pose(X, xn)
+    except ValueError as exc:  # CameraPose rejects a non-finite rotation
+        raise EstimationFailure(f"no valid rotation: {exc}") from exc
 
 
 def _refine_pose(pose: CameraPose, X, px, intr: CameraIntrinsics) -> CameraPose:
@@ -116,7 +121,7 @@ def _refine_pose(pose: CameraPose, X, px, intr: CameraIntrinsics) -> CameraPose:
         R = angle_axis_to_matrix(p[:3]) @ R0
         cam = X @ R.T + p[3:]
         cam[:, 2] = np.maximum(cam[:, 2], 1e-9)
-        uv = pinhole(cam, *_intrinsic_terms(intr))[0] - px
+        uv = pinhole(cam, *intr.pinhole_terms)[0] - px
         return np.concatenate([uv[:, 0], uv[:, 1]])
 
     sol = least_squares(residual, np.concatenate([np.zeros(3), t0]), method="lm")
@@ -147,7 +152,7 @@ def resect_camera(
         err = np.hypot(proj[:, 0] - px[:, 0], proj[:, 1] - px[:, 1])
         return (err < threshold_px) & (z > 0)
 
-    _, best_mask = adaptive_ransac(
+    sample_pose, best_mask = adaptive_ransac(
         len(X),
         6,
         lambda idx: _sample_pose(X[idx], xn[idx]),
@@ -158,10 +163,15 @@ def resect_camera(
     if best_mask is None or best_mask.sum() < 6:
         raise EstimationFailure("no resection consensus")
 
+    # the refit on every inlier can take the ill-conditioned DLT branch on a
+    # nearly flat set and land far off; refine from the sample's pose then
+    pose = sample_pose
     try:
-        pose = _sample_pose(X[best_mask], xn[best_mask])
-    except (EstimationFailure, np.linalg.LinAlgError, ValueError):
-        raise EstimationFailure("degenerate inlier set")
+        refit = _sample_pose(X[best_mask], xn[best_mask])
+        if inliers(refit).sum() >= best_mask.sum():
+            pose = refit
+    except (EstimationFailure, np.linalg.LinAlgError):
+        pass
     pose = _refine_pose(pose, X[best_mask], px[best_mask], intr)
     mask = inliers(pose)
     if mask.sum() < 6:

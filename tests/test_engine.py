@@ -296,21 +296,62 @@ class TestIncrementalReconstruct:
         subset = [0, 1, 2, 3]
         return subset, ds, (subset, {}, ds.features, ds.pairs, ds.intrinsics)
 
+    @staticmethod
+    def _far_points_scene():
+        """Four nadir cameras 30 m up on a 10 m square, noise-free.
+
+        Pair (0, 1) has the most matches: 14 nearby points and 13 points
+        100 km away. Pairs (0, 2), (0, 3) match 20 nearby points that image
+        1 does not see, pairs (1, 2), (1, 3) 20 that image 0 does not see.
+        Keypoint k of every image observes world point k.
+        """
+        rng = np.random.default_rng(3)
+        near = rng.uniform((-5.0, -5.0, -3.0), (15.0, 15.0, 3.0), size=(54, 3))
+        far = np.column_stack(
+            [rng.uniform(-2e4, 2e4, size=(13, 2)), np.full(13, -1e5)]
+        )
+        pts = np.vstack([near[:14], far, near[14:]])
+        intr = default_intrinsics()
+        features, intrinsics = {}, {}
+        for img, (x, y) in enumerate([(0, 0), (10, 0), (0, 10), (10, 10)]):
+            pose = look_at_pose((x, y, 30.0), (x, y, 0.0))
+            px = np.array([project(intr, pose, p) for p in pts])
+            kp = np.hstack([px, np.ones((len(pts), 1))])
+            features[img] = FeatureSet(img, kp, np.zeros((len(pts), 2)))
+            intrinsics[img] = intr
+
+        def matches(lo, hi):
+            return np.repeat(np.arange(lo, hi)[:, None], 2, axis=1)
+
+        pairs = [
+            MatchPair(0, 1, matches(0, 27)),
+            MatchPair(0, 2, matches(27, 47)),
+            MatchPair(0, 3, matches(27, 47)),
+            MatchPair(1, 2, matches(47, 67)),
+            MatchPair(1, 3, matches(47, 67)),
+        ]
+        return [0, 1, 2, 3], features, pairs, intrinsics
+
     def test_failed_seed_pair_falls_through_to_next(self):
-        # with engine seed 7 the best-ranked pair (1, 2) passes the angle
-        # gate on a pose 12 degrees off in rotation (the scene is nearly
-        # planar), and that pose triangulates too few points to start from
-        subset, ds, args = self._scene_seed_7_block()
-        with pytest.raises(SeedFailure, match="too few triangulated"):
-            incremental_reconstruct(*args, EngineOptions(rng_seed=7, max_seed_attempts=1))
-        recon = incremental_reconstruct(*args, EngineOptions(rng_seed=7))
-        assert set(recon.cameras) == set(subset)
-        validate_reconstruction(recon, ds.features)
+        # the best-ranked pair (0, 1) passes the angle gate on its nearby
+        # points, the median match, but its points at infinity do not
+        # triangulate: 14 points are fewer than min_resection_corrs
+        images, features, pairs, intrinsics = self._far_points_scene()
+        args = (images, {}, features, pairs, intrinsics)
+        for seed in (0, 1, 7):  # whatever the RANSAC draws
+            with pytest.raises(SeedFailure, match="too few triangulated"):
+                incremental_reconstruct(
+                    *args, EngineOptions(rng_seed=seed, max_seed_attempts=1)
+                )
+            recon = incremental_reconstruct(*args, EngineOptions(rng_seed=seed))
+            assert set(recon.cameras) == set(images)
+            assert recon.registered_order[:2] == [0, 2]
+            validate_reconstruction(recon, features)
 
     def test_seed_pose_checked_by_the_gate_is_reused(self, monkeypatch):
-        # with engine seed 15838 (as run_pipeline reconstructs this subset)
-        # a second estimate of the seed pair's pose used to come out wrong
-        # and triangulate too few points; the checked pose seeds the run
+        # run_pipeline reconstructs this subset with engine seed 15838; a
+        # second estimate of the seed pair's pose used to come out wrong and
+        # triangulate too few points, so the run fell through to another pair
         import parsfm.engine.incremental as incremental
 
         calls = []
@@ -321,12 +362,11 @@ class TestIncrementalReconstruct:
             return real(*a, **kw)
 
         monkeypatch.setattr(incremental, "estimate_relative_pose", counting)
-        _, ds, args = self._scene_seed_7_block()
-        opts = EngineOptions(rng_seed=15838, max_seed_attempts=1)
-        recon = incremental_reconstruct(*args, opts)
-        assert len(calls) == 1  # the best-ranked pair passes the gate
+        subset, ds, args = self._scene_seed_7_block()
+        recon = incremental_reconstruct(*args, EngineOptions(rng_seed=15838))
+        assert len(calls) == 1  # the best-ranked pair passes the gate and seeds
         assert recon.registered_order[:2] == [1, 2]
-        assert recon.num_points() >= opts.min_resection_corrs
+        assert set(recon.cameras) == set(subset)
         validate_reconstruction(recon, ds.features)
 
     def test_every_seed_attempt_failing_raises(self):

@@ -230,6 +230,26 @@ class TestResection:
         with pytest.raises(EstimationFailure):
             resect_camera([(np.zeros(3), np.zeros(2))] * 5, intr)
 
+    def test_refit_far_off_refines_from_sample_pose(self, monkeypatch):
+        # on a nearly flat inlier set the all-inlier DLT refit can land far
+        # off the best sample's pose; refining from it then loses consensus
+        rng = np.random.default_rng(21)
+        intr, pose, corr = self._scene(rng)
+        flip = np.diag([1.0, -1.0, -1.0])  # every point behind the camera
+        real = resection._sample_pose
+
+        def far_off_refit(X, xn):
+            est = real(X, xn)
+            if len(X) == len(corr):
+                return CameraPose(flip @ est.rotation, flip @ est.translation)
+            return est
+
+        monkeypatch.setattr(resection, "_sample_pose", far_off_refit)
+        est, mask = resect_camera(corr, intr, rng=4)
+        assert mask.all()
+        assert np.allclose(est.rotation, pose.rotation, atol=1e-6)
+        assert np.allclose(est.translation, pose.translation, atol=1e-6)
+
 
 # Per-correspondence loop versions of the array kernels in parsfm.geometry,
 # kept as oracles: the kernels must reproduce them bit for bit.
