@@ -49,6 +49,11 @@ class CameraIntrinsics:
             ]
         )
 
+    @property
+    def pinhole_terms(self):
+        """(fx, fy, cx, cy), the arguments of `pinhole`."""
+        return self.focal_x, self.focal_y, self.principal_x, self.principal_y
+
     def normalize(self, pixels: np.ndarray) -> np.ndarray:
         """Pixel coordinates -> normalized camera-plane coordinates."""
         px = np.asarray(pixels, dtype=float)
@@ -100,10 +105,6 @@ def pinhole(cam, fx, fy, cx, cy):
     return px, z
 
 
-def _intrinsic_terms(intr: CameraIntrinsics):
-    return intr.focal_x, intr.focal_y, intr.principal_x, intr.principal_y
-
-
 def project(intr: CameraIntrinsics, pose: CameraPose, point) -> np.ndarray:
     """Perspective projection of one world point into pixel coordinates.
 
@@ -112,7 +113,7 @@ def project(intr: CameraIntrinsics, pose: CameraPose, point) -> np.ndarray:
     p = pose.rotation @ np.asarray(point, dtype=float).reshape(3) + pose.translation
     if p[2] <= 0:
         raise BehindCameraError(f"depth {p[2]:.6g} <= 0")
-    return pinhole(p, *_intrinsic_terms(intr))[0]
+    return pinhole(p, *intr.pinhole_terms)[0]
 
 
 def project_points(intr: CameraIntrinsics, pose: CameraPose, points: np.ndarray):
@@ -120,7 +121,7 @@ def project_points(intr: CameraIntrinsics, pose: CameraPose, points: np.ndarray)
 
     Returns (pixels (N,2), depths (N,)); callers filter on depth sign.
     """
-    return pinhole(pose.transform(points), *_intrinsic_terms(intr))
+    return pinhole(pose.transform(points), *intr.pinhole_terms)
 
 
 def angle_axis_to_matrix(omega: np.ndarray) -> np.ndarray:

@@ -17,12 +17,7 @@ class EstimationFailure(Exception):
 
 
 # what a minimal sample may raise; such a sample is skipped
-_SAMPLE_FAILURES = (
-    EstimationFailure,
-    DegenerateGeometryError,
-    np.linalg.LinAlgError,
-    ValueError,
-)
+_SAMPLE_FAILURES = (EstimationFailure, DegenerateGeometryError, np.linalg.LinAlgError)
 
 
 def adaptive_ransac(n, k, fit, inliers, max_iterations, rng):

@@ -4,7 +4,7 @@ from .correspond import (
     strategy_match_counts,
 )
 from .common import CommonPointSet, find_common_points
-from .ransac import MergeFailure, bidirectional_residuals, ransac_similarity
+from .ransac import BidirectionalResiduals, MergeFailure, ransac_similarity
 from .merging import (
     MergeOptions,
     MergeReport,
@@ -23,6 +23,7 @@ from .geo import (
 )
 
 __all__ = [
+    "BidirectionalResiduals",
     "CommonPointSet",
     "CorrespondenceGraph",
     "GcpRecord",
@@ -31,7 +32,6 @@ __all__ = [
     "MergeOptions",
     "MergeReport",
     "MergeStep",
-    "bidirectional_residuals",
     "build_correspondence_graph",
     "find_common_points",
     "georeference",

@@ -32,7 +32,7 @@ def _observations(recon, pids, features):
             owner.append(k)
             R.append(pose.rotation)
             t.append(pose.translation)
-            K.append([intr.focal_x, intr.focal_y, intr.principal_x, intr.principal_y])
+            K.append(intr.pinhole_terms)
             px.append(features[img].keypoints[kp, :2])
     return (
         np.array(owner, dtype=int),
@@ -43,45 +43,52 @@ def _observations(recon, pids, features):
     )
 
 
-def bidirectional_residuals(pairs, source, reference, features):
+class BidirectionalResiduals:
     """Scorer of common point pairs (source point id, reference point id).
 
-    Returns residuals(T), the bi-directional RMS reprojection error of every
-    pair under the similarity T mapping source onto reference: the mapped
-    source point is projected into the reference cameras that see its
-    partner, the inverse-mapped reference point into the source cameras,
+    Calling it with a similarity T mapping source onto reference gives the
+    bi-directional RMS reprojection error of every pair: the mapped source
+    point is projected into the reference cameras that see its partner, the
+    inverse-mapped reference point into the source cameras,
         r^2 = (sum_ref + sum_src) / (m + l),
     and r is +inf when any of these projections falls behind its camera.
-    The observations of every pair are gathered once; each call projects
-    them all at once.
+    The point positions (src_pos, ref_pos) and the observations of every
+    pair are gathered once; each call projects them all at once.
     """
-    n = len(pairs)
-    src_pos = np.array([source.points[s][0] for s, _ in pairs]).reshape(n, 3)
-    ref_pos = np.array([reference.points[r][0] for _, r in pairs]).reshape(n, 3)
-    # reference observations score the mapped source points, and vice versa
-    ref_owner, *ref_obs = _observations(reference, [r for _, r in pairs], features)
-    src_owner, *src_obs = _observations(source, [s for s, _ in pairs], features)
-    R, t, K, px = (np.concatenate(parts) for parts in zip(ref_obs, src_obs))
-    # pair i sums its reference side into slot i and its source side into n + i
-    slot = np.concatenate([ref_owner, n + src_owner])
-    counts = np.bincount(slot, minlength=2 * n)
-    count = counts[:n] + counts[n:]
 
-    def residuals(T):
-        X = np.concatenate(
-            [T.apply(src_pos)[ref_owner], T.inverse().apply(ref_pos)[src_owner]]
+    def __init__(self, pairs, source, reference, features):
+        n = self.n = len(pairs)
+        self.src_pos = np.array([source.points[s][0] for s, _ in pairs]).reshape(n, 3)
+        self.ref_pos = np.array([reference.points[r][0] for _, r in pairs]).reshape(n, 3)
+        # reference observations score the mapped source points, and vice versa
+        ref_owner, *ref_obs = _observations(reference, [r for _, r in pairs], features)
+        src_owner, *src_obs = _observations(source, [s for s, _ in pairs], features)
+        self.ref_owner, self.src_owner = ref_owner, src_owner
+        self.R, self.t, self.K, self.px = (
+            np.concatenate(parts) for parts in zip(ref_obs, src_obs)
         )
-        cam = np.matmul(R, X[:, :, None])[:, :, 0] + t
-        proj, z = pinhole(cam, *K.T)
-        d = proj - px
+        # pair i sums its reference side into slot i and its source side into n + i
+        self.slot = np.concatenate([ref_owner, n + src_owner])
+        counts = np.bincount(self.slot, minlength=2 * n)
+        self.count = counts[:n] + counts[n:]
+
+    def __call__(self, T):
+        n, slot = self.n, self.slot
+        X = np.concatenate(
+            [
+                T.apply(self.src_pos)[self.ref_owner],
+                T.inverse().apply(self.ref_pos)[self.src_owner],
+            ]
+        )
+        cam = np.matmul(self.R, X[:, :, None])[:, :, 0] + self.t
+        proj, z = pinhole(cam, *self.K.T)
+        d = proj - self.px
         sq = np.bincount(slot, weights=d[:, 0] ** 2 + d[:, 1] ** 2, minlength=2 * n)
         behind = np.bincount(slot, weights=z <= 0, minlength=2 * n)
         total = sq[:n] + sq[n:]
-        out = np.sqrt(total / count)
+        out = np.sqrt(total / self.count)
         out[(behind[:n] + behind[n:] > 0) | ~np.isfinite(total)] = np.inf
         return out
-
-    return residuals
 
 
 def ransac_similarity(
@@ -102,9 +109,8 @@ def ransac_similarity(
     if n < 3:
         raise MergeFailure(f"only {n} common point pairs")
     rng = np.random.default_rng(rng)
-    src_pos = np.array([source.points[s][0] for s, _ in common.pairs])
-    ref_pos = np.array([reference.points[r][0] for _, r in common.pairs])
-    residuals = bidirectional_residuals(common.pairs, source, reference, features)
+    residuals = BidirectionalResiduals(common.pairs, source, reference, features)
+    src_pos, ref_pos = residuals.src_pos, residuals.ref_pos
 
     def inliers(T):
         return residuals(T) <= threshold_px

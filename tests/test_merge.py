@@ -10,6 +10,7 @@ from parsfm.engine import (
 from parsfm.geometry import SimilarityTransform
 from parsfm.matchgraph import FeatureSet
 from parsfm.merge import (
+    BidirectionalResiduals,
     CorrespondenceGraph,
     GcpRecord,
     MergeFailure,
@@ -18,7 +19,6 @@ from parsfm.merge import (
     georeference,
     merge_all,
     merge_pair,
-    bidirectional_residuals,
     ransac_similarity,
     read_gcps,
     strategy_match_counts,
@@ -171,7 +171,7 @@ def transform_residual(pair, T, source, reference, features):
 
 def pair_residual(pair, T, source, reference, features):
     """The batched scorer evaluated on a single pair."""
-    return bidirectional_residuals([pair], source, reference, features)(T)[0]
+    return BidirectionalResiduals([pair], source, reference, features)(T)[0]
 
 
 def noisy_features(features, rng, sigma=0.5):
@@ -263,7 +263,7 @@ class TestTransformResidual:
         features = noisy_features(scene["features"], rng)
         # reversed pairing so pairs and point ids do not line up
         pairs = [(k, k) for k in range(40)] + [(k, 39 - k) for k in range(0, 40, 3)]
-        scorer = bidirectional_residuals(pairs, src, ref, features)
+        scorer = BidirectionalResiduals(pairs, src, ref, features)
         # the true transform, random ones, and one pushing points behind
         behind = SimilarityTransform(1.0, np.eye(3), np.array([0.0, 0.0, 1e6]))
         transforms = [T_true, behind] + [random_similarity(rng) for _ in range(6)]
