@@ -1,11 +1,14 @@
-"""Levenberg-Marquardt bundle adjustment with sparse Schur elimination.
+"""Levenberg-Marquardt bundle adjustment with block-sparse Schur elimination.
 
-Points are eliminated through the camera/point Schur complement, its coupling
-W V^-1 W^T formed as a sparse block product, and the reduced camera system is
-solved densely; intrinsics stay fixed. Gauge is fixed by holding the first
-camera constant and, when no points are held fixed, restoring the length of
-the first camera baseline (a pure gauge transform, so it never changes the
-cost).
+Each linearization builds the normal-equation blocks once (per camera U and
+g_c, per point V and g_p, the 6x3 block-sparse coupling W = A^T B), and its
+damping retries reuse them. Points are eliminated through the Schur
+complement S = U - W V^-1 W^T, a product of 6x3 block-sparse matrices, and
+the reduced camera system is solved by Cholesky (least squares if S is not
+numerically positive definite); intrinsics stay fixed. Gauge is fixed by
+holding the first camera constant and, when no points are held fixed,
+restoring the length of the first camera baseline (a pure gauge transform,
+so it never changes the cost).
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse as sp_sparse
+from scipy.linalg import cho_factor, cho_solve
 
-from .camera import CameraPose, angle_axis_to_matrix, pinhole, project_rotation
+from .camera import CameraPose, angle_axis_to_matrix, pinhole, project_rotation, skew
 
 # penalty cost for an observation whose point falls behind the camera
 _BEHIND_PENALTY = 1e12
@@ -51,6 +55,21 @@ class BaReport:
     converged: bool = True
 
 
+@dataclass
+class _Normal:
+    """Normal equations of one linearization over the free parameters."""
+
+    U: np.ndarray  # (cameras, 6, 6) camera blocks of J^T J
+    V: np.ndarray  # (points, 3, 3) point blocks of J^T J
+    gc: np.ndarray  # (cameras, 6) camera part of -J^T r
+    gp: np.ndarray  # (points, 3) point part of -J^T r
+    W: sp_sparse.bsr_matrix  # camera/point coupling, 6x3 blocks
+    WT: sp_sparse.bsr_matrix
+
+    def gradient_norm(self) -> float:
+        return max(np.abs(self.gc).max(initial=0.0), np.abs(self.gp).max(initial=0.0))
+
+
 class _Problem:
     def __init__(self, cameras, intrinsics, points, observations, opts: BaOptions):
         self.cam_ids = sorted(cameras)
@@ -59,32 +78,33 @@ class _Problem:
         self.pt_index = {p: i for i, p in enumerate(self.pt_ids)}
         self.R = np.array([cameras[c].rotation for c in self.cam_ids])
         self.t = np.array([cameras[c].translation for c in self.cam_ids])
-        self.X = np.array([np.asarray(points[p], dtype=float) for p in self.pt_ids])
-        K = [intrinsics[c] for c in self.cam_ids]
-        self.fx = np.array([k.focal_x for k in K])
-        self.fy = np.array([k.focal_y for k in K])
-        self.cx = np.array([k.principal_x for k in K])
-        self.cy = np.array([k.principal_y for k in K])
+        self.X = np.array([points[p] for p in self.pt_ids], dtype=float)
+        K = np.array([intrinsics[c].pinhole_terms for c in self.cam_ids], dtype=float)
+        self.fx, self.fy, self.cx, self.cy = K.reshape(-1, 4).T
 
         self.obs_cam = np.array([self.cam_index[c] for c, _, _ in observations], dtype=int)
         self.obs_pt = np.array([self.pt_index[p] for _, p, _ in observations], dtype=int)
-        self.obs_xy = np.array([np.asarray(xy, dtype=float) for _, _, xy in observations])
+        self.obs_xy = np.array([xy for _, _, xy in observations], dtype=float)
 
         fixed_cams = set(opts.fixed_camera_ids)
         if self.cam_ids and not fixed_cams and not opts.fixed_point_ids:
             fixed_cams.add(self.cam_ids[0])  # gauge
-        self.free_cams = np.array(
-            [i for i, c in enumerate(self.cam_ids) if c not in fixed_cams], dtype=int
+        self.free_cams, self.cam_slot = _free_slots(self.cam_ids, fixed_cams)
+        self.free_pts, self.pt_slot = _free_slots(self.pt_ids, opts.fixed_point_ids)
+
+        cslot = self.cam_slot[self.obs_cam]
+        pslot = self.pt_slot[self.obs_pt]
+        # observations of free cameras/points and the sums over their slots
+        self.cam_obs, self.cam_sum = _slot_sum(cslot, len(self.free_cams))
+        self.pt_obs, self.pt_sum = _slot_sum(pslot, len(self.free_pts))
+        # observations with both ends free couple a camera to a point; in
+        # (camera, point) order they are the block rows of W
+        both = np.nonzero((cslot >= 0) & (pslot >= 0))[0]
+        self.coupled = both[np.lexsort((pslot[both], cslot[both]))]
+        self.coupled_pt = pslot[self.coupled]
+        self.coupled_indptr = np.searchsorted(
+            cslot[self.coupled], np.arange(len(self.free_cams) + 1)
         )
-        self.free_pts = np.array(
-            [i for i, p in enumerate(self.pt_ids) if p not in opts.fixed_point_ids],
-            dtype=int,
-        )
-        # dense slot of each camera/point in the parameter vector, -1 if fixed
-        self.cam_slot = np.full(len(self.cam_ids), -1, dtype=int)
-        self.cam_slot[self.free_cams] = np.arange(len(self.free_cams))
-        self.pt_slot = np.full(len(self.pt_ids), -1, dtype=int)
-        self.pt_slot[self.free_pts] = np.arange(len(self.free_pts))
 
     def residuals(self, R, t, X):
         """Per-observation 2-vector residuals plus validity mask and cost."""
@@ -98,14 +118,9 @@ class _Problem:
         cost = float((r[valid] ** 2).sum()) + _BEHIND_PENALTY * int((~valid).sum())
         return r, valid, cost, v, p
 
-    def mean_error(self, R=None, t=None, X=None):
-        R = self.R if R is None else R
-        t = self.t if t is None else t
-        X = self.X if X is None else X
-        r, valid, _, _, _ = self.residuals(R, t, X)
-        if not valid.any():
-            return 0.0
-        return float(np.linalg.norm(r[valid], axis=1).mean())
+    def mean_error(self):
+        r, valid = self.residuals(self.R, self.t, self.X)[:2]
+        return float(np.linalg.norm(r[valid], axis=1).mean()) if valid.any() else 0.0
 
     def jacobians(self, v, p, valid):
         """Camera (N,2,6) and point (N,2,3) residual Jacobian blocks."""
@@ -120,98 +135,97 @@ class _Problem:
         Jp[:, 1, 2] = -fy * p[:, 1] / z**2
         Jp[~valid] = 0.0
 
-        skew = np.zeros((n, 3, 3))
-        skew[:, 0, 1] = -v[:, 2]
-        skew[:, 0, 2] = v[:, 1]
-        skew[:, 1, 0] = v[:, 2]
-        skew[:, 1, 2] = -v[:, 0]
-        skew[:, 2, 0] = -v[:, 1]
-        skew[:, 2, 1] = v[:, 0]
-
         A = np.zeros((n, 2, 6))
-        A[:, :, :3] = -np.einsum("nij,njk->nik", Jp, skew)
+        A[:, :, :3] = -(Jp @ skew(v))
         A[:, :, 3:] = Jp
-        B = np.einsum("nij,njk->nik", Jp, self.R[self.obs_cam][:, :, :])
+        B = Jp @ self.R[self.obs_cam]
         return A, B
 
+    def normal_equations(self, r, v, p, valid) -> _Normal:
+        """Blocks of J^T J and -J^T r over the free cameras and points."""
+        A, B = self.jacobians(v, p, valid)
+        At = A.transpose(0, 2, 1)
+        k = self.coupled
+        W = sp_sparse.bsr_matrix(
+            (At[k] @ B[k], self.coupled_pt, self.coupled_indptr),
+            shape=(6 * len(self.free_cams), 3 * len(self.free_pts)),
+        )
+        A, At, r_c = A[self.cam_obs], At[self.cam_obs], r[self.cam_obs]
+        B, r_p = B[self.pt_obs], r[self.pt_obs]
+        return _Normal(
+            U=(self.cam_sum @ (At @ A).reshape(-1, 36)).reshape(-1, 6, 6),
+            V=(self.pt_sum @ (B.transpose(0, 2, 1) @ B).reshape(-1, 9)).reshape(-1, 3, 3),
+            gc=-(self.cam_sum @ np.einsum("nij,ni->nj", A, r_c)),
+            gp=-(self.pt_sum @ np.einsum("nij,ni->nj", B, r_p)),
+            W=W,
+            WT=W.T,
+        )
 
-def _solve_schur(prob: _Problem, A, B, r, lam):
-    """Solve the damped normal equations for (camera step, point step)."""
-    nc = len(prob.free_cams)
-    npt = len(prob.free_pts)
-    cslot = prob.cam_slot[prob.obs_cam]
-    pslot = prob.pt_slot[prob.obs_pt]
-    cam_free = cslot >= 0
-    pt_free = pslot >= 0
+    def stepped(self, dc, dp):
+        """(R, t, X) after the camera step dc (free cameras, 6) and the point
+        step dp (free points, 3). Raises LinAlgError on a non-finite step."""
+        if not (np.isfinite(dc).all() and np.isfinite(dp).all()):
+            raise np.linalg.LinAlgError("non-finite bundle adjustment step")
+        R, t, X = self.R.copy(), self.t.copy(), self.X.copy()
+        f = self.free_cams
+        R[f] = project_rotation(angle_axis_to_matrix(dc[:, :3]) @ self.R[f])
+        t[f] += dc[:, 3:]
+        X[self.free_pts] += dp
+        return R, t, X
 
-    # camera blocks
-    U = np.zeros((nc, 6, 6))
-    gc = np.zeros((nc, 6))
-    if cam_free.any():
-        np.add.at(U, cslot[cam_free], np.einsum("nij,nik->njk", A[cam_free], A[cam_free]))
-        np.add.at(gc, cslot[cam_free], -np.einsum("nij,ni->nj", A[cam_free], r[cam_free]))
 
-    V = np.zeros((npt, 3, 3))
-    gp = np.zeros((npt, 3))
-    if pt_free.any():
-        np.add.at(V, pslot[pt_free], np.einsum("nij,nik->njk", B[pt_free], B[pt_free]))
-        np.add.at(gp, pslot[pt_free], -np.einsum("nij,ni->nj", B[pt_free], r[pt_free]))
+def _free_slots(ids, fixed):
+    """Indices of the ids not in `fixed`, and the dense slot of each id in
+    the parameter vector (-1 if fixed)."""
+    free = np.array([i for i, x in enumerate(ids) if x not in fixed], dtype=int)
+    slot = np.full(len(ids), -1, dtype=int)
+    slot[free] = np.arange(len(free))
+    return free, slot
 
-    # damping on block diagonals
-    d6 = np.arange(6)
+
+def _slot_sum(slot, rows):
+    """The observations with a slot (not -1), and the CSR matrix that sums
+    their per-observation rows into the slot rows."""
+    obs = np.nonzero(slot >= 0)[0]
+    n = len(obs)
+    return obs, sp_sparse.csr_matrix(
+        (np.ones(n), (slot[obs], np.arange(n))), shape=(rows, n)
+    )
+
+
+def _centers(R, t):
+    """Camera centres -R^T t of (N,3,3) rotations and (N,3) translations."""
+    return -np.einsum("nji,nj->ni", R, t)
+
+
+def _solve_schur(ne: _Normal, lam):
+    """Solve the normal equations damped by lam for (camera step, point step)."""
+    nc, npt = len(ne.U), len(ne.V)
+    d6, d3 = np.arange(6), np.arange(3)
+    U = ne.U.copy()
     U[:, d6, d6] += lam * np.maximum(U[:, d6, d6], 1e-12)
-    d3 = np.arange(3)
-    Vd = V.copy()
-    Vd[:, d3, d3] += lam * np.maximum(Vd[:, d3, d3], 1e-12)
+    V = ne.V.copy()
+    V[:, d3, d3] += lam * np.maximum(V[:, d3, d3], 1e-12)
     try:
-        Vinv = np.linalg.inv(Vd) if npt else Vd
+        Vinv = np.linalg.inv(V)
     except np.linalg.LinAlgError:
-        Vinv = np.linalg.pinv(Vd)
+        Vinv = np.linalg.pinv(V)
 
-    S = np.zeros((6 * nc, 6 * nc))
-    for i in range(nc):
-        S[6 * i : 6 * i + 6, 6 * i : 6 * i + 6] = U[i]
-    b = gc.reshape(-1).copy()
-
-    # observations with both ends free form the W V^-1 W^T coupling, built
-    # as a sparse block-matrix product
-    both = cam_free & pt_free
-    Wsp = None
-    if both.any() and nc:
-        sel = np.nonzero(both)[0]
-        m = len(sel)
-        W = np.einsum("nij,nik->njk", A[sel], B[sel])  # 6x3 per obs
-        ps = pslot[sel]
-        cs = cslot[sel]
-        Y = W @ Vinv[ps]
-        rows = np.broadcast_to(
-            (6 * cs)[:, None, None] + np.arange(6)[None, :, None], (m, 6, 3)
-        )
-        cols = np.broadcast_to(
-            (3 * ps)[:, None, None] + np.arange(3)[None, None, :], (m, 6, 3)
-        )
-        shape = (6 * nc, 3 * npt)
-        Wsp = sp_sparse.csr_matrix((W.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-        Ysp = sp_sparse.csr_matrix((Y.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
-        S -= (Ysp @ Wsp.T).toarray()
-        b -= Ysp @ gp.reshape(-1)
-
-    if nc:
-        try:
-            dc = np.linalg.solve(S, b).reshape(nc, 6)
-        except np.linalg.LinAlgError:
-            dc = np.linalg.lstsq(S, b, rcond=None)[0].reshape(nc, 6)
-    else:
-        dc = np.zeros((0, 6))
+    # S = blockdiag(U) - Y W^T with Y = W V^-1, both 6x3 block-sparse
+    W = ne.W
+    Y = sp_sparse.bsr_matrix((W.data @ Vinv[W.indices], W.indices, W.indptr), shape=W.shape)
+    S = -(Y @ ne.WT).toarray()
+    diag = 6 * np.arange(nc)[:, None, None]
+    S[diag + d6[:, None], diag + d6] += U
+    b = ne.gc.reshape(-1) - Y @ ne.gp.reshape(-1)
+    try:
+        dc = cho_solve(cho_factor(S), b)
+    except np.linalg.LinAlgError:  # S is not numerically positive definite
+        dc = np.linalg.lstsq(S, b, rcond=None)[0]
 
     # back-substitute points: dp = Vinv (gp - W^T dc)
-    dp = np.zeros((npt, 3))
-    if npt:
-        rhs = gp.copy()
-        if Wsp is not None:
-            rhs -= (Wsp.T @ dc.reshape(-1)).reshape(npt, 3)
-        dp = np.einsum("nij,nj->ni", Vinv, rhs)
-    return dc, dp
+    dp = np.einsum("nij,nj->ni", Vinv, ne.gp - (ne.WT @ dc).reshape(npt, 3))
+    return dc.reshape(nc, 6), dp
 
 
 def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> BaReport:
@@ -251,45 +265,29 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
         and len(prob.cam_ids) >= 2
     )
     if fix_scale:
-        c0 = -prob.R[0].T @ prob.t[0]
-        c1 = -prob.R[1].T @ prob.t[1]
-        baseline0 = float(np.linalg.norm(c1 - c0))
+        C = _centers(prob.R[:2], prob.t[:2])
+        baseline0 = float(np.linalg.norm(C[1] - C[0]))
         fix_scale = baseline0 > 1e-12
 
     lam = 1e-4
     it = 0
     while it < opts.max_iterations:
         it += 1
-        A, B = prob.jacobians(v, p, valid)
-        # gradient inf-norm over free parameters
-        gnorm = 0.0
-        cf = prob.cam_slot[prob.obs_cam] >= 0
-        pf = prob.pt_slot[prob.obs_pt] >= 0
-        if cf.any():
-            gc = np.zeros((len(prob.free_cams), 6))
-            np.add.at(gc, prob.cam_slot[prob.obs_cam][cf], np.einsum("nij,ni->nj", A[cf], r[cf]))
-            gnorm = max(gnorm, float(np.abs(gc).max()) if gc.size else 0.0)
-        if pf.any():
-            gp = np.zeros((len(prob.free_pts), 3))
-            np.add.at(gp, prob.pt_slot[prob.obs_pt][pf], np.einsum("nij,ni->nj", B[pf], r[pf]))
-            gnorm = max(gnorm, float(np.abs(gp).max()) if gp.size else 0.0)
-        if gnorm < opts.gradient_tolerance:
+        ne = prob.normal_equations(r, v, p, valid)
+        if ne.gradient_norm() < opts.gradient_tolerance:
             report.converged = True
             it -= 1
             break
 
         accepted = False
         for _ in range(8):
-            dc, dp = _solve_schur(prob, A, B, r, lam)
-            Rn = prob.R.copy()
-            tn = prob.t.copy()
-            Xn = prob.X.copy()
-            for k, ci in enumerate(prob.free_cams):
-                Rn[ci] = project_rotation(angle_axis_to_matrix(dc[k, :3]) @ prob.R[ci])
-                tn[ci] = prob.t[ci] + dc[k, 3:]
-            if len(prob.free_pts):
-                Xn[prob.free_pts] += dp
-            rn, validn, costn, vn, pn = prob.residuals(Rn, tn, Xn)
+            dc, dp = _solve_schur(ne, lam)
+            try:
+                Rn, tn, Xn = prob.stepped(dc, dp)
+            except np.linalg.LinAlgError:  # a non-finite step is rejected
+                costn = np.inf
+            else:
+                rn, validn, costn, vn, pn = prob.residuals(Rn, tn, Xn)
             if costn <= cost:
                 step = float(np.sqrt((dc**2).sum() + (dp**2).sum()))
                 pnorm = float(
@@ -314,17 +312,13 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
 
     # restore the gauge scale by an exact similarity (cost-invariant)
     if fix_scale:
-        c0 = -prob.R[0].T @ prob.t[0]
-        c1 = -prob.R[1].T @ prob.t[1]
-        d = float(np.linalg.norm(c1 - c0))
+        C = _centers(prob.R, prob.t)
+        d = float(np.linalg.norm(C[1] - C[0]))
         if d > 1e-12:
             s = baseline0 / d
             if abs(s - 1.0) > 1e-15:
-                prob.X = c0 + s * (prob.X - c0)
-                for i in range(len(prob.cam_ids)):
-                    ci = -prob.R[i].T @ prob.t[i]
-                    ci = c0 + s * (ci - c0)
-                    prob.t[i] = -prob.R[i] @ ci
+                prob.X = C[0] + s * (prob.X - C[0])
+                prob.t = -np.einsum("nij,nj->ni", prob.R, C[0] + s * (C - C[0]))
 
     report.iterations = it
     report.final_cost = cost if not fix_scale else prob.residuals(prob.R, prob.t, prob.X)[2]

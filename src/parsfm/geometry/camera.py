@@ -124,21 +124,24 @@ def project_points(intr: CameraIntrinsics, pose: CameraPose, points: np.ndarray)
     return pinhole(pose.transform(points), *intr.pinhole_terms)
 
 
+def skew(w: np.ndarray) -> np.ndarray:
+    """Cross-product matrices [w]x of (..., 3) vectors: [w]x @ u = w x u."""
+    x, y, z = w[..., 0], w[..., 1], w[..., 2]
+    zero = np.zeros_like(x)
+    K = np.stack([zero, -z, y, z, zero, -x, -y, x, zero], axis=-1)
+    return K.reshape(w.shape[:-1] + (3, 3))
+
+
 def angle_axis_to_matrix(omega: np.ndarray) -> np.ndarray:
-    """Rodrigues formula, stable near zero angle."""
-    omega = np.asarray(omega, dtype=float).reshape(3)
-    theta = np.linalg.norm(omega)
-    K = np.array(
-        [
-            [0.0, -omega[2], omega[1]],
-            [omega[2], 0.0, -omega[0]],
-            [-omega[1], omega[0], 0.0],
-        ]
-    )
-    if theta < 1e-12:
-        return np.eye(3) + K
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
+    """Rodrigues formula over (..., 3) angle-axis vectors, stable near zero angle."""
+    omega = np.asarray(omega, dtype=float)
+    K = skew(omega)
+    # the squared angle as a dot product rounds like np.linalg.norm of one vector
+    theta = np.sqrt(omega[..., None, :] @ omega[..., :, None])
+    small = theta < 1e-12
+    theta = np.where(small, 1.0, theta)
+    a = np.where(small, 1.0, np.sin(theta) / theta)
+    b = np.where(small, 0.0, (1.0 - np.cos(theta)) / (theta * theta))
     return np.eye(3) + a * K + b * (K @ K)
 
 
@@ -162,8 +165,14 @@ def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
 
 
 def project_rotation(R: np.ndarray) -> np.ndarray:
-    """Nearest orthonormal matrix with det +1 (SVD projection)."""
+    """Nearest orthonormal matrix with det +1 (SVD projection), over (..., 3, 3).
+
+    Raises LinAlgError on a non-finite input, on which the SVD may never return.
+    """
+    R = np.asarray(R, dtype=float)
+    if not np.isfinite(R).all():
+        raise np.linalg.LinAlgError("cannot project a non-finite matrix onto a rotation")
     U, _, Vt = np.linalg.svd(R)
-    D = np.eye(3)
-    D[2, 2] = np.sign(np.linalg.det(U @ Vt))
-    return U @ D @ Vt
+    d = np.sign(np.linalg.det(U @ Vt))
+    D = np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)
+    return (U * D[..., None, :]) @ Vt

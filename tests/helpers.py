@@ -1,5 +1,7 @@
 """Shared synthetic-scene helpers for the test suite."""
 
+import threading
+
 import numpy as np
 
 from parsfm.geometry import CameraIntrinsics, CameraPose
@@ -129,3 +131,22 @@ def mcds_reference(graph):
                 break
             current = min(gray, key=lambda v: (-n_white(v), v))
     return selected_all
+
+
+def call_with_deadline(fn, seconds=10.0):
+    """Run fn() in a daemon thread and return {"returned": value} or
+    {"raised": exception}. Fails the calling test when fn has not finished
+    within `seconds`, so a call that spins cannot stall the suite."""
+    box = {}
+
+    def target():
+        try:
+            box["returned"] = fn()
+        except Exception as exc:
+            box["raised"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"call still running after {seconds} s"
+    return box

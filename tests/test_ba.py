@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from scipy import sparse as sp_sparse
 
 from parsfm.geometry import BaOptions, BaReport, CameraPose, project, solve_bundle
-from parsfm.geometry.ba import _Problem
+from parsfm.geometry import ba
+from parsfm.geometry.ba import _Problem, _solve_schur
 from parsfm.geometry.camera import angle_axis_to_matrix
 
-from helpers import default_intrinsics, ring_cameras
+from helpers import call_with_deadline, default_intrinsics, ring_cameras
 
 
 def make_scene(n_cams=6, n_pts=40, seed=0, noise=0.0):
@@ -24,6 +26,76 @@ def make_scene(n_cams=6, n_pts=40, seed=0, noise=0.0):
                 px = px + rng.normal(scale=noise, size=2)
             obs.append((i, j, px))
     return cameras, intrinsics, points, obs
+
+
+def add_point_behind_camera(cameras, intrinsics, points, obs, cam=0):
+    """A new point 3 units behind `cam`, observed by it and by every camera
+    that sees it in front."""
+    pose = cameras[cam]
+    X = pose.center() - 3.0 * pose.rotation[2]
+    pid = max(points) + 1
+    points[pid] = X
+    obs.append((cam, pid, np.array([500.0, 400.0])))
+    for c, other in cameras.items():
+        if c != cam and (other.rotation @ X + other.translation)[2] > 0:
+            obs.append((c, pid, project(intrinsics[c], other, X)))
+    return pid
+
+
+def schur_reference(prob, A, B, r, lam):
+    """Per-observation np.add.at accumulation and a scalar-CSR W V^-1 W^T,
+    solved densely: the Schur step as computed before the block-sparse
+    solver, kept as its oracle."""
+    nc = len(prob.free_cams)
+    npt = len(prob.free_pts)
+    cslot = prob.cam_slot[prob.obs_cam]
+    pslot = prob.pt_slot[prob.obs_pt]
+    cam_free = cslot >= 0
+    pt_free = pslot >= 0
+
+    U = np.zeros((nc, 6, 6))
+    gc = np.zeros((nc, 6))
+    np.add.at(U, cslot[cam_free], np.einsum("nij,nik->njk", A[cam_free], A[cam_free]))
+    np.add.at(gc, cslot[cam_free], -np.einsum("nij,ni->nj", A[cam_free], r[cam_free]))
+    V = np.zeros((npt, 3, 3))
+    gp = np.zeros((npt, 3))
+    np.add.at(V, pslot[pt_free], np.einsum("nij,nik->njk", B[pt_free], B[pt_free]))
+    np.add.at(gp, pslot[pt_free], -np.einsum("nij,ni->nj", B[pt_free], r[pt_free]))
+
+    d6 = np.arange(6)
+    U[:, d6, d6] += lam * np.maximum(U[:, d6, d6], 1e-12)
+    d3 = np.arange(3)
+    V[:, d3, d3] += lam * np.maximum(V[:, d3, d3], 1e-12)
+    Vinv = np.linalg.inv(V)
+
+    S = np.zeros((6 * nc, 6 * nc))
+    for i in range(nc):
+        S[6 * i : 6 * i + 6, 6 * i : 6 * i + 6] = U[i]
+    b = gc.reshape(-1).copy()
+    sel = np.nonzero(cam_free & pt_free)[0]
+    m = len(sel)
+    W = np.einsum("nij,nik->njk", A[sel], B[sel])
+    ps = pslot[sel]
+    cs = cslot[sel]
+    Y = W @ Vinv[ps]
+    rows = np.broadcast_to((6 * cs)[:, None, None] + np.arange(6)[None, :, None], (m, 6, 3))
+    cols = np.broadcast_to((3 * ps)[:, None, None] + np.arange(3)[None, None, :], (m, 6, 3))
+    shape = (6 * nc, 3 * npt)
+    Wsp = sp_sparse.csr_matrix((W.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+    Ysp = sp_sparse.csr_matrix((Y.ravel(), (rows.ravel(), cols.ravel())), shape=shape)
+    S -= (Ysp @ Wsp.T).toarray()
+    b -= Ysp @ gp.reshape(-1)
+
+    dc = np.linalg.solve(S, b).reshape(nc, 6)
+    rhs = gp - (Wsp.T @ dc.reshape(-1)).reshape(npt, 3)
+    dp = np.einsum("nij,nj->ni", Vinv, rhs)
+    return dc, dp, S
+
+
+def linearized(cameras, intrinsics, points, obs, opts):
+    prob = _Problem(cameras, intrinsics, points, obs, opts)
+    r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
+    return prob, r, valid, v, p
 
 
 def mean_reproj(cameras, intrinsics, points, obs):
@@ -138,6 +210,96 @@ class TestSolveBundle:
         report = solve_bundle(cameras, intrinsics, points, obs, BaOptions())
         assert abs(report.final_mean_error
                    - mean_reproj(cameras, intrinsics, points, obs)) < 1e-9
+
+
+ORACLE_SCENES = {
+    "gauge": BaOptions(),
+    "fixed_cameras": BaOptions(fixed_camera_ids={0, 3}),
+    "fixed_points": BaOptions(fixed_point_ids={0, 1, 2, 5}),
+}
+
+
+class TestSchurOracle:
+    @pytest.mark.parametrize("lam", [1e-4, 10.0])
+    @pytest.mark.parametrize("scene", sorted(ORACLE_SCENES))
+    def test_block_sparse_step_matches_reference(self, scene, lam):
+        cameras, intrinsics, points, obs = make_scene(seed=11, noise=0.7)
+        add_point_behind_camera(cameras, intrinsics, points, obs)
+        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, ORACLE_SCENES[scene])
+        assert not valid.all()
+        A, B = prob.jacobians(v, p, valid)
+        dc_ref, dp_ref, _ = schur_reference(prob, A, B, r, lam)
+        dc, dp = _solve_schur(prob.normal_equations(r, v, p, valid), lam)
+        assert dc.shape == dc_ref.shape and dp.shape == dp_ref.shape
+        assert np.abs(dc_ref).max() > 0 and np.abs(dp_ref).max() > 0
+        np.testing.assert_allclose(dc, dc_ref, rtol=1e-9, atol=1e-9 * np.abs(dc_ref).max())
+        np.testing.assert_allclose(dp, dp_ref, rtol=1e-9, atol=1e-9 * np.abs(dp_ref).max())
+
+    def test_indefinite_reduced_system_falls_back_to_least_squares(self, monkeypatch):
+        cameras, intrinsics, points, obs = make_scene(seed=12, noise=0.7)
+        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, BaOptions())
+        A, B = prob.jacobians(v, p, valid)
+        lam = -1.5  # negative damping makes the reduced system indefinite
+        dc_ref, dp_ref, S = schur_reference(prob, A, B, r, lam)
+        assert np.linalg.eigvalsh(S).min() < 0
+        solved = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solved.append(1) or lstsq(*a, **k))
+        dc, dp = _solve_schur(prob.normal_equations(r, v, p, valid), lam)
+        assert solved
+        np.testing.assert_allclose(dc, dc_ref, rtol=1e-9, atol=1e-9 * np.abs(dc_ref).max())
+        np.testing.assert_allclose(dp, dp_ref, rtol=1e-9, atol=1e-9 * np.abs(dp_ref).max())
+
+    def test_solve_without_cholesky_gives_finite_report(self, monkeypatch):
+        def not_positive_definite(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
+        monkeypatch.setattr(ba, "cho_factor", not_positive_definite)
+        report = solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        assert report.iterations > 0
+        assert np.isfinite([report.final_cost, report.final_mean_error]).all()
+        assert report.final_cost < report.initial_cost
+
+
+class TestNonFiniteStep:
+    def test_stepped_rejects_nan_without_hanging(self):
+        cameras, intrinsics, points, obs = make_scene(seed=2)
+        prob = _Problem(cameras, intrinsics, points, obs, BaOptions())
+        dc = np.full((len(prob.free_cams), 6), np.nan)
+        dp = np.zeros((len(prob.free_pts), 3))
+        R, t, X = prob.R.copy(), prob.t.copy(), prob.X.copy()
+        for step in ((dc, dp), (np.zeros_like(dc), np.full_like(dp, np.nan))):
+            box = call_with_deadline(lambda: prob.stepped(*step))
+            assert isinstance(box.get("raised"), np.linalg.LinAlgError)
+        assert np.array_equal(prob.R, R) and np.array_equal(prob.t, t)
+        assert np.array_equal(prob.X, X)
+
+    def test_nan_step_is_a_rejected_damping_try(self, monkeypatch):
+        lams, states = [], []
+        stepped = _Problem.stepped
+
+        def nan_first_step(ne, lam):
+            lams.append(lam)
+            dc, dp = _solve_schur(ne, lam)
+            return (np.full_like(dc, np.nan) if len(lams) == 1 else dc), dp
+
+        def spy(self, dc, dp):
+            states.append([x.copy() for x in (self.R, self.t, self.X)])
+            return stepped(self, dc, dp)
+
+        monkeypatch.setattr(ba, "_solve_schur", nan_first_step)
+        monkeypatch.setattr(_Problem, "stepped", spy)
+        cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
+        box = call_with_deadline(
+            lambda: solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        )
+        report = box["returned"]
+        assert lams[1] == pytest.approx(10.0 * lams[0])  # damping went up
+        for before, after in zip(states[0], states[1]):  # state untouched
+            assert np.array_equal(before, after)
+        assert np.isfinite([report.final_cost, report.final_mean_error]).all()
+        assert report.final_cost < report.initial_cost
 
 
 class TestBaOptions:

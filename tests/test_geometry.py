@@ -18,7 +18,7 @@ from parsfm.geometry import (
     umeyama_similarity,
 )
 from parsfm.geometry import resection
-from parsfm.geometry.camera import angle_axis_to_matrix
+from parsfm.geometry.camera import angle_axis_to_matrix, project_rotation
 from parsfm.geometry.resection import _dlt_pose, _homography
 from parsfm.geometry.twoview import (
     _cheirality_counts,
@@ -26,7 +26,13 @@ from parsfm.geometry.twoview import (
     _eight_point_essential,
 )
 
-from helpers import default_intrinsics, look_at_pose, random_rotation, ring_cameras
+from helpers import (
+    call_with_deadline,
+    default_intrinsics,
+    look_at_pose,
+    random_rotation,
+    ring_cameras,
+)
 
 
 class TestProject:
@@ -583,3 +589,27 @@ class TestRotationClosure:
             R = angle_axis_to_matrix(rng.normal(size=3))
             assert np.allclose(R.T @ R, np.eye(3), atol=1e-9)
             assert abs(np.linalg.det(R) - 1) < 1e-9
+
+    def test_batched_rotations_equal_one_at_a_time(self):
+        rng = np.random.default_rng(44)
+        omega = rng.normal(size=(200, 3)) * 10.0 ** rng.uniform(-14, 1, size=(200, 1))
+        omega[0] = 0.0
+        stacked = angle_axis_to_matrix(omega)
+        assert stacked.shape == (200, 3, 3)
+        for w, R in zip(omega, stacked):
+            assert np.array_equal(R, angle_axis_to_matrix(w))
+        M = stacked + rng.normal(scale=0.1, size=stacked.shape)
+        M[1] = -M[1]  # det < 0 before projection
+        projected = project_rotation(M)
+        for m, R in zip(M, projected):
+            assert np.array_equal(R, project_rotation(m))
+            assert abs(np.linalg.det(R) - 1) < 1e-9
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_project_rotation_rejects_non_finite(self, bad):
+        single = np.eye(3)
+        single[1, 2] = bad
+        stack = np.stack([np.eye(3), single])
+        for M in (np.full((3, 3), bad), single, stack):
+            box = call_with_deadline(lambda: project_rotation(M))
+            assert isinstance(box.get("raised"), np.linalg.LinAlgError)
