@@ -36,20 +36,6 @@ class VocabularyTree:
             words[i] = node.word
         return words
 
-    def leaf_centers(self) -> np.ndarray:
-        """Centers of all leaves in word-id order."""
-        out = [None] * self.num_words
-
-        def walk(node, center):
-            if node.children is None:
-                out[node.word] = center
-                return
-            for c, child in zip(node.centers, node.children):
-                walk(child, c)
-
-        walk(self.root, None)
-        return np.array([c if c is not None else np.zeros(0) for c in out], dtype=object)
-
 
 def _split(samples: np.ndarray, k: int, rng: np.random.Generator):
     """k-means split; degenerate inputs fall back to duplicated centers."""

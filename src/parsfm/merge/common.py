@@ -19,19 +19,26 @@ class CommonPointSet:
         return len(self.pairs)
 
 
+def feature_point_index(recon) -> dict:
+    """(image, keypoint) -> point id over every track of a reconstruction."""
+    return {
+        (img, kp): pid for pid, (_, track) in recon.points.items() for img, kp in track.observations
+    }
+
+
 def find_common_points(
-    cg: CorrespondenceGraph, source, reference
+    cg: CorrespondenceGraph, source, reference, reference_index=None
 ) -> CommonPointSet:
     """Traverse source observations -> mapped reference features -> reference
     tracks -> reference points.
 
     A source point mapping to several reference points keeps the pair with
     the most supporting feature links (ties: lower reference point id).
+    reference_index is `feature_point_index(reference)`, built here when not
+    given.
     """
-    ref_feature_to_point = {}
-    for rpid, (_, track) in reference.points.items():
-        for img, kp in track.observations:
-            ref_feature_to_point[(img, kp)] = rpid
+    if reference_index is None:
+        reference_index = feature_point_index(reference)
 
     out = CommonPointSet()
     for spid in sorted(source.points):
@@ -39,7 +46,7 @@ def find_common_points(
         votes = {}
         for img, kp in track.observations:
             for ref_feat in cg.lookup(img, kp):
-                rpid = ref_feature_to_point.get(ref_feat)
+                rpid = reference_index.get(ref_feat)
                 if rpid is not None:
                     votes[rpid] = votes.get(rpid, 0) + 1
         if not votes:

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..engine import Track, bundle_adjust, mean_reprojection_error
 from ..geometry import BaOptions, CameraPose, SimilarityTransform
-from .common import find_common_points
+from .common import feature_point_index, find_common_points
 from .correspond import build_correspondence_graph, strategy_match_counts
 from .ransac import DEFAULT_MERGE_THRESHOLD_PX, MergeFailure, ransac_similarity
 
@@ -105,16 +105,17 @@ def merge_pair(global_model, cluster, T, inlier_pairs):
     return global_model
 
 
-def _evaluate_cluster(model, cluster, match_pairs):
+def _evaluate_cluster(model, model_index, cluster, match_pairs):
     """Common points of a cluster against the model, with the smaller
-    reconstruction as traversal source. Returns (common, cluster_is_source,
-    strategy counts)."""
+    reconstruction as traversal source. model_index is the model's
+    `feature_point_index`. Returns (common, cluster_is_source, strategy
+    counts)."""
     if cluster.num_cameras() <= model.num_cameras():
         source, reference, forward = cluster, model, True
     else:
         source, reference, forward = model, cluster, False
     cg = build_correspondence_graph(source, reference, match_pairs)
-    common = find_common_points(cg, source, reference)
+    common = find_common_points(cg, source, reference, model_index if forward else None)
     counts = strategy_match_counts(source, reference, match_pairs)
     assert cg.loaded_match_count == counts["on_demand"]
     return common, forward, counts
@@ -134,10 +135,12 @@ def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions 
     report = MergeReport()
 
     while remaining:
+        # the model changes only when a cluster merges, so once per pass
+        model_index = feature_point_index(model)
         candidates = []
         for idx in sorted(remaining):
             common, forward, counts = _evaluate_cluster(
-                model, remaining[idx], match_pairs
+                model, model_index, remaining[idx], match_pairs
             )
             candidates.append((idx, common, forward, counts))
         candidates.sort(key=lambda c: (-len(c[1]), c[0]))

@@ -25,6 +25,7 @@ from parsfm.merge import (
     transform_pose,
     write_gcps,
 )
+from parsfm.merge import merging
 from parsfm.merge.merging import MergeOptions
 
 from helpers import make_scene, random_rotation
@@ -405,6 +406,34 @@ class TestMergeAll:
         )
         assert report.dropped == [1]  # cluster index of `lost`
         assert set(merged.cameras) == set(range(8))
+
+    def test_model_index_reused_only_where_the_model_is_the_reference(self, monkeypatch):
+        scene = make_scene(n_cams=12, n_pts=60, seed=25)
+        skeleton = gt_reconstruction(scene, images=range(0, 4))
+        clusters = []
+        for k, images in enumerate([range(2, 8), range(7, 12)], start=1):
+            recon = gt_reconstruction(scene, images=images, recon_id=k)
+            # distinct point ids, so a lookup in the wrong index shows
+            recon.points = {
+                1000 * k + pid: (xyz, Track(1000 * k + pid, track.observations))
+                for pid, (xyz, track) in recon.points.items()
+            }
+            clusters.append(recon)
+        calls = []
+
+        def spy(cg, source, reference, *index):
+            common = find_common_points(cg, source, reference, *index)
+            fresh = find_common_points(cg, source, reference)
+            calls.append((reference.num_cameras(), source.num_cameras(), index))
+            assert (common.pairs, common.support) == (fresh.pairs, fresh.support)
+            return common
+
+        monkeypatch.setattr(merging, "find_common_points", spy)
+        merged, report = merge_all(skeleton, clusters, scene["features"], scene["pairs"])
+        assert set(merged.cameras) == set(range(12))
+        # the 6-image cluster is the reference against the 4-image skeleton
+        assert any(ref > src for ref, src, _ in calls)
+        assert any(index[0] is not None for _, _, index in calls)
 
     def test_merge_order_by_common_count(self):
         scene = make_scene(n_cams=12, n_pts=60, seed=25)
