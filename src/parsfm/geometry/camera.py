@@ -173,6 +173,5 @@ def project_rotation(R: np.ndarray) -> np.ndarray:
     if not np.isfinite(R).all():
         raise np.linalg.LinAlgError("cannot project a non-finite matrix onto a rotation")
     U, _, Vt = np.linalg.svd(R)
-    d = np.sign(np.linalg.det(U @ Vt))
-    D = np.stack([np.ones_like(d), np.ones_like(d), d], axis=-1)
-    return (U * D[..., None, :]) @ Vt
+    U[..., 2] *= np.sign(np.linalg.det(U @ Vt))[..., None]
+    return U @ Vt
