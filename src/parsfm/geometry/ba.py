@@ -79,6 +79,11 @@ class _Problem:
         self.R = np.array([cameras[c].rotation for c in self.cam_ids])
         self.t = np.array([cameras[c].translation for c in self.cam_ids])
         self.X = np.array([points[p] for p in self.pt_ids], dtype=float)
+        cams = np.hstack([self.R.reshape(-1, 9), self.t])
+        for kind, ids, values in (("camera", self.cam_ids, cams), ("point", self.pt_ids, self.X)):
+            finite = np.isfinite(values).all(axis=1)
+            if not finite.all():
+                raise ValueError(f"{kind} {ids[int(np.argmin(finite))]} is not finite")
         K = np.array([intrinsics[c].pinhole_terms for c in self.cam_ids], dtype=float)
         self.fx, self.fy, self.cx, self.cy = K.reshape(-1, 4).T
 
@@ -235,6 +240,7 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
     intrinsics: dict image_id -> CameraIntrinsics (never touched)
     points: dict point_id -> 3-vector (mutated)
     observations: iterable of (image_id, point_id, pixel 2-vector)
+    A pose or point that is not finite raises ValueError naming its id.
     """
     observations = list(observations)
     if not observations or not cameras or not points:

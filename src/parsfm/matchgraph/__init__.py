@@ -1,5 +1,5 @@
 from .types import FeatureSet, ImageMeta, MatchGraph, MatchPair
-from .hull import convex_hull, convex_hull_area
+from .hull import convex_hull_area
 from .vocab import VocabularyTree, build_vocabulary
 from .retrieval import retrieve_pairs
 from .matching import verify_matches
@@ -13,7 +13,6 @@ __all__ = [
     "VocabularyTree",
     "build_match_graph",
     "build_vocabulary",
-    "convex_hull",
     "convex_hull_area",
     "edge_weight",
     "retrieve_pairs",

@@ -1,40 +1,18 @@
-"""Convex hull of 2D point sets via the Andrew monotone-chain construction."""
+"""Area of the convex hull of a 2D point set."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def _cross(o, a, b):
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def convex_hull(points) -> np.ndarray:
-    """Hull vertices in counter-clockwise order (monotone chain)."""
-    pts = np.unique(np.asarray(points, dtype=float).reshape(-1, 2), axis=0)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return np.array(lower[:-1] + upper[:-1])
+from scipy.spatial import ConvexHull, QhullError
 
 
 def convex_hull_area(points) -> float:
-    """Shoelace area of the convex hull; 0 for <3 or collinear points."""
+    """Area of the convex hull (qhull); 0 for fewer than 3 points and for
+    collinear, duplicate or identical points, on which qhull finds no hull."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(pts) < 3:
         return 0.0
-    hull = convex_hull(pts)
-    if len(hull) < 3:
+    try:
+        return float(ConvexHull(pts).volume)  # a 2D hull's volume is its area
+    except QhullError:
         return 0.0
-    x, y = hull[:, 0], hull[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))

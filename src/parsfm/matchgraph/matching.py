@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..geometry import EstimationFailure, estimate_relative_pose
@@ -30,6 +32,24 @@ def mutual_nearest_matches(desc_a: np.ndarray, desc_b: np.ndarray, ratio: float 
     return np.stack([rows[keep], nn_ab[keep]], axis=1)
 
 
+def _verify_pair(job, ratio, threshold_px, rng_seed):
+    """The verified MatchPair of one candidate job, or None."""
+    a, b, fa, fb, intr_a, intr_b = job
+    m = mutual_nearest_matches(fa.descriptors, fb.descriptors, ratio)
+    if len(m) < MIN_VERIFY_MATCHES:
+        return None
+    pix = np.stack([fa.keypoints[m[:, 0], :2], fb.keypoints[m[:, 1], :2]], axis=1)
+    # seeded by the pair, so the result does not depend on the process running it
+    rng = np.random.default_rng((rng_seed, a, b))
+    try:
+        _, inliers = estimate_relative_pose(
+            pix, intr_a, intr_b, threshold_px=threshold_px, max_iterations=5000, rng=rng
+        )
+    except EstimationFailure:
+        return None
+    return MatchPair(a, b, m[inliers]) if inliers.sum() >= MIN_VERIFY_MATCHES else None
+
+
 def verify_matches(
     candidates,
     features,
@@ -37,34 +57,15 @@ def verify_matches(
     ratio: float = RATIO_TEST,
     threshold_px: float = 4.0,
     rng_seed: int = 0,
+    pool=None,
 ):
     """Match descriptors of candidate pairs and keep geometric inliers.
 
     candidates: iterable of (image_id_a, image_id_b); features/intrinsics are
-    dicts keyed by image id. Pairs that cannot be verified are dropped.
+    dicts keyed by image id. Pairs that cannot be verified are dropped, the
+    rest keep the candidates' order. pool: anything with ``map`` to verify
+    the pairs on, such as a process pool; None verifies them in this process.
     """
-    verified = []
-    for a, b in candidates:
-        fa, fb = features[a], features[b]
-        m = mutual_nearest_matches(fa.descriptors, fb.descriptors, ratio)
-        if len(m) < MIN_VERIFY_MATCHES:
-            continue
-        pix = np.stack(
-            [fa.keypoints[m[:, 0], :2], fb.keypoints[m[:, 1], :2]], axis=1
-        )
-        rng = np.random.default_rng((rng_seed, a, b))
-        try:
-            _, inliers = estimate_relative_pose(
-                pix,
-                intrinsics[a],
-                intrinsics[b],
-                threshold_px=threshold_px,
-                max_iterations=5000,
-                rng=rng,
-            )
-        except EstimationFailure:
-            continue
-        if inliers.sum() < MIN_VERIFY_MATCHES:
-            continue
-        verified.append(MatchPair(a, b, m[inliers]))
-    return verified
+    jobs = [(a, b, features[a], features[b], intrinsics[a], intrinsics[b]) for a, b in candidates]
+    verify = partial(_verify_pair, ratio=ratio, threshold_px=threshold_px, rng_seed=rng_seed)
+    return [p for p in (map if pool is None else pool.map)(verify, jobs) if p is not None]

@@ -3,18 +3,21 @@ reconstructions on a worker pool, merging, and artifact emission."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 import numpy as np
+import scipy
 
 from ..engine import (
     EngineOptions,
     incremental_reconstruct,
     write_reconstruction,
 )
-from ..engine.incremental import SeedFailure
 from ..graphalgo import extract_wcds, normalized_cut
 from ..matchgraph import build_match_graph, build_vocabulary, retrieve_pairs, verify_matches
 from ..matchgraph.dataset import read_dataset
@@ -23,6 +26,9 @@ from .config import PipelineConfig
 from .evaluate import EvalMetrics
 
 _F = "%.17g"
+
+# numpy and scipy each bundle an OpenBLAS: (package, file in <package>.libs, symbol suffix)
+_OPENBLAS = ((np, "libscipy_openblas64_*.so", "64_"), (scipy, "libscipy_openblas-*.so", ""))
 
 
 class PipelineError(RuntimeError):
@@ -53,12 +59,12 @@ def build_graph(dataset, config: PipelineConfig):
         candidates = retrieve_pairs(
             dataset.features, vocab, config.index_features, config.top_k
         )
-        pairs = verify_matches(
-            candidates,
-            dataset.features,
-            dataset.intrinsics,
-            rng_seed=config.rng_seed,
-        )
+        # shut down before the reconstruction pool starts, to keep peak memory low
+        with _worker_pool(config.worker_count) as pool:
+            pairs = verify_matches(
+                candidates, dataset.features, dataset.intrinsics,
+                rng_seed=config.rng_seed, pool=pool,
+            )
     else:
         raise PipelineError("TCNConstruction", "dataset has neither matches nor descriptors")
     graph = build_match_graph(
@@ -89,16 +95,37 @@ def write_clusters(path, clustering) -> None:
             fh.write("CLUSTER %d %s\n" % (i, " ".join(str(v) for v in sorted(c))))
 
 
+def _one_blas_thread():
+    """Pool initializer: one OpenBLAS thread in this worker instead of the
+    machine-sized pool inherited on fork. A missing library or symbol is skipped."""
+    for package, pattern, suffix in _OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        for path in glob.glob(os.path.join(site, f"{package.__name__}.libs", pattern)):
+            lib = ctypes.CDLL(path)
+            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if set_threads is not None:
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                set_threads(1)
+
+
+def _worker_pool(worker_count):
+    """A pool of one-BLAS-thread workers; None (run here) for one worker."""
+    if worker_count <= 1:
+        return nullcontext()
+    return ProcessPoolExecutor(max_workers=worker_count, initializer=_one_blas_thread)
+
+
 def _subset_task(payload):
-    """Worker entry: reconstruct one image subset from its own match pairs."""
+    """Worker entry: reconstruct one image subset from its own match pairs.
+    A failure is returned as its error string and fails only this subset."""
     subset, features, pairs, intrinsics, opts, recon_id = payload
     try:
         recon = incremental_reconstruct(
             subset, {}, features, pairs, intrinsics, opts, recon_id
         )
         return recon_id, recon, None
-    except SeedFailure as exc:
-        return recon_id, None, str(exc)
+    except Exception as exc:
+        return recon_id, None, f"{type(exc).__name__}: {exc}"
 
 
 def _make_payload(subset, dataset, pairs, opts, recon_id):
@@ -142,28 +169,15 @@ def run_pipeline(config: PipelineConfig):
     ]
 
     t0 = time.perf_counter()
-    results = {}
-    if config.worker_count > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=config.worker_count) as pool:
-            for recon_id, recon, err in pool.map(_subset_task, payloads):
-                results[recon_id] = (recon, err)
-    else:
-        for payload in payloads:
-            recon_id, recon, err = _subset_task(payload)
-            results[recon_id] = (recon, err)
+    with _worker_pool(config.worker_count if len(payloads) > 1 else 1) as pool:
+        results = list((map if pool is None else pool.map)(_subset_task, payloads))
     times["reconstruct"] = time.perf_counter() - t0
 
-    skeleton, skel_err = results[0]
+    _, skeleton, skel_err = results[0]
     if skeleton is None:
         raise PipelineError("ParallelReconstruction", f"skeleton failed: {skel_err}")
-    clusters = []
-    failed_clusters = []
-    for i in range(1, len(payloads)):
-        recon, err = results[i]
-        if recon is None:
-            failed_clusters.append((i, err))
-        else:
-            clusters.append(recon)
+    clusters = [recon for _, recon, _ in results[1:] if recon is not None]
+    failed_clusters = [(i, err) for i, recon, err in results[1:] if recon is None]
 
     t0 = time.perf_counter()
     merged, report = merge_all(

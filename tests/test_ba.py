@@ -302,6 +302,30 @@ class TestNonFiniteStep:
         assert report.final_cost < report.initial_cost
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "kind, expected", [("point", "point 3"), ("translation", "camera 2")]
+    )
+    def test_first_non_finite_id_named_before_any_work(self, monkeypatch, kind, expected):
+        cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
+        if kind == "point":
+            points[3][1] = np.nan
+            points[9][0] = np.inf
+        else:
+            cameras[2].translation[0] = np.nan
+            cameras[4].translation[2] = np.inf
+
+        def residuals(self, *args):
+            raise AssertionError("residuals computed before the input check")
+
+        monkeypatch.setattr(_Problem, "residuals", residuals)
+        box = call_with_deadline(
+            lambda: solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        )
+        assert isinstance(box.get("raised"), ValueError)
+        assert str(box["raised"]) == f"{expected} is not finite"
+
+
 class TestBaOptions:
     def test_validation(self):
         with pytest.raises(ValueError):

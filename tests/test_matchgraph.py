@@ -1,3 +1,5 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from parsfm.matchgraph import (
 )
 from parsfm.matchgraph.dataset import Dataset, read_dataset, write_dataset
 from parsfm.matchgraph.matching import mutual_nearest_matches
+from parsfm.pipeline import SynthConfig, generate_synthetic
 
 from helpers import default_intrinsics, look_at_pose
 
@@ -64,8 +67,32 @@ class TestConvexHull:
             n = rng.integers(3, 13)
             pts = rng.uniform(0, 100, size=(n, 2))
             assert convex_hull_area(pts) == pytest.approx(
-                brute_force_hull_area(pts), abs=1e-6
+                brute_force_hull_area(pts), rel=1e-9
             )
+        # spans from 0.01 to 10^4, some with repeated positions
+        rng = np.random.default_rng(29)
+        for k in range(240):
+            n = int(rng.integers(3, 30))
+            pts = rng.uniform(0.0, 10.0 ** rng.uniform(-2, 4), size=(n, 2))
+            if k % 3 == 0:  # a keypoint matched twice repeats its position
+                pts = np.vstack([pts, pts[: n // 2 + 1]])
+            assert convex_hull_area(pts) == pytest.approx(
+                brute_force_hull_area(pts), rel=1e-9
+            )
+
+    def test_degenerate_sets_have_zero_area(self):
+        cases = [
+            [],
+            [(3.0, 4.0)],
+            [(0.0, 0.0), (5.0, 5.0)],
+            [(0.0, 0.0), (1.0, 2.0), (2.0, 4.0), (3.0, 6.0)],  # collinear
+            [(1.0, 1.0), (1.0, 1.0), (4.0, 4.0)],  # duplicate, collinear
+            [(0.0, 0.0), (0.0, 0.0), (0.0, 5.0), (0.0, 5.0)],  # duplicates on a line
+            [(7.0, 3.0)] * 5,  # all identical
+        ]
+        for pts in cases:
+            assert brute_force_hull_area(pts) == 0.0
+            assert convex_hull_area(pts) == 0.0
 
     def test_100_random_points(self):
         rng = np.random.default_rng(19)
@@ -416,6 +443,34 @@ class TestVerifyMatches:
         kept = out[0].matches
         true_kept = (kept[:, 0] >= n_out).sum()
         assert true_kept / len(kept) >= 0.9
+
+
+class TestVerifyOnPool:
+    def test_pool_returns_the_serial_list(self):
+        dataset, _, _, _ = generate_synthetic(
+            SynthConfig(image_count=10, pattern="orbit", point_count=300,
+                        pixel_noise=1.0, seed=21, emit_descriptors=True)
+        )  # noise at which the kept matches depend on the RANSAC draws
+        rng = np.random.default_rng(31)
+        ids = sorted(dataset.features)
+        # image 99 has too few keypoints to verify: its pairs are dropped
+        dataset.features[99] = FeatureSet(
+            99, np.hstack([rng.uniform(0, 900, (6, 2)), np.ones((6, 1))]),
+            _random_unit(rng, 6, 16),
+        )
+        dataset.intrinsics[99] = dataset.intrinsics[0]
+        candidates = [(b, a) if (a + b) % 2 else (a, b) for a in ids for b in ids if a < b]
+        candidates[::7] = [(99, b) for _, b in candidates[::7]]
+        args = (candidates, dataset.features, dataset.intrinsics)
+        serial = verify_matches(*args, rng_seed=5)
+        with ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = verify_matches(*args, rng_seed=5, pool=pool)
+        assert 0 < len(serial) < len(candidates)
+        assert [(p.image_id_a, p.image_id_b) for p in pooled] == [
+            (p.image_id_a, p.image_id_b) for p in serial
+        ]
+        for p, q in zip(pooled, serial):
+            assert np.array_equal(p.matches, q.matches)
 
 
 class TestDatasetIO:

@@ -1,3 +1,4 @@
+import ctypes
 import filecmp
 import os
 
@@ -18,6 +19,8 @@ from parsfm.pipeline import (
     write_ground_truth,
     write_synthetic,
 )
+from parsfm.matchgraph.dataset import write_dataset
+from parsfm.pipeline import run as run_mod
 from parsfm.pipeline.cli import main as cli_main
 from parsfm.merge import transform_pose
 
@@ -194,6 +197,36 @@ def small_dataset(tmp_path, seed=11, images=16, noise=0.3):
     return paths
 
 
+def descriptor_dataset(tmp_path):
+    """An orbit block written with descriptors and without MATCH records,
+    noisy enough that the verified matches depend on the RANSAC draws."""
+    dataset, _, _, _ = generate_synthetic(
+        SynthConfig(image_count=12, pattern="orbit", point_count=400,
+                    pixel_noise=1.0, seed=21, emit_descriptors=True)
+    )
+    dataset.pairs = []
+    path = tmp_path / "desc.txt"
+    write_dataset(path, dataset)
+    return path
+
+
+def openblas_threads():
+    """Thread count of each OpenBLAS mapped into this process, by file name."""
+    with open("/proc/self/maps") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "libscipy_openblas" in line})
+    counts = {}
+    for path in paths:
+        suffix = "64_" if "openblas64_" in os.path.basename(path) else ""
+        get = getattr(ctypes.CDLL(path), f"scipy_openblas_get_num_threads{suffix}")
+        get.argtypes, get.restype = [], ctypes.c_int
+        counts[os.path.basename(path)] = get()
+    return counts
+
+
+def _worker_openblas_threads(_):
+    return os.getpid(), openblas_threads()
+
+
 class TestRunPipeline:
     def test_completes_and_registers_most_images(self, tmp_path):
         ds, gt_path = small_dataset(tmp_path)
@@ -235,6 +268,26 @@ class TestRunPipeline:
             results.append(merged)
         assert set(results[0].cameras) == set(results[1].cameras)
 
+        # descriptors only: retrieval and verification build the graph
+        ds = descriptor_dataset(tmp_path)
+        for workers in (1, 2):
+            config = PipelineConfig(
+                dataset_path=str(ds),
+                output_dir=str(tmp_path / f"desc_{workers}"),
+                cluster_max_size=6,
+                top_k=5,
+                worker_count=workers,
+                rng_seed=0,
+            )
+            merged, _, _ = run_pipeline(config)
+            results.append(merged)
+        assert set(results[2].cameras) == set(results[3].cameras)
+        assert filecmp.cmp(
+            tmp_path / "desc_1" / "graph.txt",
+            tmp_path / "desc_2" / "graph.txt",
+            shallow=False,
+        )
+
     def test_single_worker_byte_identical(self, tmp_path):
         ds, _ = small_dataset(tmp_path, seed=13)
         for run in ("a", "b"):
@@ -251,6 +304,57 @@ class TestRunPipeline:
             tmp_path / "out_b" / "merged.txt",
             shallow=False,
         )
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps"
+    )
+    def test_pool_workers_run_one_blas_thread(self, tmp_path):
+        parent = openblas_threads()
+        assert len(parent) == 2  # numpy's and scipy's
+        with run_mod._worker_pool(2) as pool:
+            seen = dict(pool.map(_worker_openblas_threads, range(8)))
+        for counts in seen.values():
+            assert counts == {name: 1 for name in parent}
+        ds, _ = small_dataset(tmp_path)
+        run_pipeline(PipelineConfig(
+            dataset_path=str(ds), output_dir="", cluster_max_size=8, worker_count=2
+        ))
+        assert openblas_threads() == parent
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_cluster_is_listed_not_fatal(self, tmp_path, monkeypatch, workers):
+        ds, _ = small_dataset(tmp_path)
+        real = run_mod.incremental_reconstruct
+
+        def fail_task_2(subset, metas, features, pairs, intrinsics, opts, recon_id):
+            if recon_id == 2:
+                raise RuntimeError("injected failure")
+            return real(subset, metas, features, pairs, intrinsics, opts, recon_id)
+
+        monkeypatch.setattr(run_mod, "incremental_reconstruct", fail_task_2)
+        out = tmp_path / "out"
+        config = PipelineConfig(
+            dataset_path=str(ds), output_dir=str(out), cluster_max_size=8,
+            worker_count=workers, rng_seed=0,
+        )
+        _, metrics, _ = run_pipeline(config)
+        assert metrics.registered_images > 0
+        report = (out / "report.txt").read_text()
+        listed = "failed cluster reconstructions:\n  task 2: RuntimeError: injected failure\n"
+        assert listed in report
+        assert not (out / "recon_cluster_2.txt").exists()
+        assert (out / "recon_cluster_1.txt").exists()
+
+    def test_failing_skeleton_fails_the_run(self, tmp_path, monkeypatch):
+        ds, _ = small_dataset(tmp_path)
+
+        def fail(*args):
+            raise RuntimeError("injected failure")
+
+        monkeypatch.setattr(run_mod, "incremental_reconstruct", fail)
+        config = PipelineConfig(dataset_path=str(ds), output_dir="", worker_count=2)
+        with pytest.raises(PipelineError, match="skeleton failed: RuntimeError: injected"):
+            run_pipeline(config)
 
     def test_image_without_keypoints_left_unregistered(self, tmp_path):
         ds, _ = small_dataset(tmp_path)
