@@ -312,7 +312,7 @@ class TestRunPipeline:
         parent = openblas_threads()
         assert len(parent) == 2  # numpy's and scipy's
         with run_mod._worker_pool(2) as pool:
-            seen = dict(pool.map(_worker_openblas_threads, range(8)))
+            seen = dict(pool.map(_worker_openblas_threads, range(8), timeout=60))
         for counts in seen.values():
             assert counts == {name: 1 for name in parent}
         ds, _ = small_dataset(tmp_path)
