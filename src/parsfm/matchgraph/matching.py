@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -11,6 +12,8 @@ from .types import MatchPair
 
 RATIO_TEST = 0.8
 MIN_VERIFY_MATCHES = 8
+# a pool of one: ``map`` runs the jobs in this process, one after another
+IN_PROCESS = SimpleNamespace(map=map)
 
 
 def mutual_nearest_matches(desc_a: np.ndarray, desc_b: np.ndarray, ratio: float = RATIO_TEST):
@@ -57,15 +60,15 @@ def verify_matches(
     ratio: float = RATIO_TEST,
     threshold_px: float = 4.0,
     rng_seed: int = 0,
-    pool=None,
+    pool=IN_PROCESS,
 ):
     """Match descriptors of candidate pairs and keep geometric inliers.
 
     candidates: iterable of (image_id_a, image_id_b); features/intrinsics are
     dicts keyed by image id. Pairs that cannot be verified are dropped, the
     rest keep the candidates' order. pool: anything with ``map`` to verify
-    the pairs on, such as a process pool; None verifies them in this process.
+    the pairs on, such as a process pool; by default this process.
     """
     jobs = [(a, b, features[a], features[b], intrinsics[a], intrinsics[b]) for a, b in candidates]
     verify = partial(_verify_pair, ratio=ratio, threshold_px=threshold_px, rng_seed=rng_seed)
-    return [p for p in (map if pool is None else pool.map)(verify, jobs) if p is not None]
+    return [p for p in pool.map(verify, jobs) if p is not None]

@@ -4,14 +4,13 @@ reconstructions on a worker pool, merging, and artifact emission."""
 from __future__ import annotations
 
 import ctypes
-import glob
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 import numpy as np
-import scipy
 
 from ..engine import (
     EngineOptions,
@@ -21,14 +20,12 @@ from ..engine import (
 from ..graphalgo import extract_wcds, normalized_cut
 from ..matchgraph import build_match_graph, build_vocabulary, retrieve_pairs, verify_matches
 from ..matchgraph.dataset import read_dataset
+from ..matchgraph.matching import IN_PROCESS
 from ..merge import MergeOptions, merge_all
 from .config import PipelineConfig
 from .evaluate import EvalMetrics
 
 _F = "%.17g"
-
-# numpy and scipy each bundle an OpenBLAS: (package, file in <package>.libs, symbol suffix)
-_OPENBLAS = ((np, "libscipy_openblas64_*.so", "64_"), (scipy, "libscipy_openblas-*.so", ""))
 
 
 class PipelineError(RuntimeError):
@@ -61,10 +58,8 @@ def build_graph(dataset, config: PipelineConfig):
         )
         # shut down before the reconstruction pool starts, to keep peak memory low
         with _worker_pool(config.worker_count) as pool:
-            pairs = verify_matches(
-                candidates, dataset.features, dataset.intrinsics,
-                rng_seed=config.rng_seed, pool=pool,
-            )
+            pairs = verify_matches(candidates, dataset.features, dataset.intrinsics,
+                                   rng_seed=config.rng_seed, pool=pool)
     else:
         raise PipelineError("TCNConstruction", "dataset has neither matches nor descriptors")
     graph = build_match_graph(
@@ -95,24 +90,34 @@ def write_clusters(path, clustering) -> None:
             fh.write("CLUSTER %d %s\n" % (i, " ".join(str(v) for v in sorted(c))))
 
 
+def _loaded_openblas():
+    """(path, symbol suffix) of each OpenBLAS in /proc/self/maps: numpy's
+    libscipy_openblas64_ suffixes its symbols with 64_, scipy's does not."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {ln.split(None, 5)[5].strip() for ln in fh if "libscipy_openblas" in ln}
+    except OSError:  # no /proc: nothing to set
+        return []
+    return [(p, "64_" if "openblas64_" in os.path.basename(p) else "") for p in sorted(paths)]
+
+
 def _one_blas_thread():
     """Pool initializer: one OpenBLAS thread in this worker instead of the
-    machine-sized pool inherited on fork. A missing library or symbol is skipped."""
-    for package, pattern, suffix in _OPENBLAS:
-        site = os.path.dirname(os.path.dirname(package.__file__))
-        for path in glob.glob(os.path.join(site, f"{package.__name__}.libs", pattern)):
-            lib = ctypes.CDLL(path)
-            set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            if set_threads is not None:
-                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                set_threads(1)
+    machine-sized pool inherited on fork. A missing symbol is skipped."""
+    for path, suffix in _loaded_openblas():
+        set_threads = getattr(ctypes.CDLL(path), f"scipy_openblas_set_num_threads{suffix}", None)
+        if set_threads is not None:
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            set_threads(1)
 
 
 def _worker_pool(worker_count):
-    """A pool of one-BLAS-thread workers; None (run here) for one worker."""
+    """Context giving an object with ``map``: a pool of forked one-BLAS-thread
+    workers, or this process for one worker."""
     if worker_count <= 1:
-        return nullcontext()
-    return ProcessPoolExecutor(max_workers=worker_count, initializer=_one_blas_thread)
+        return nullcontext(IN_PROCESS)
+    fork = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(worker_count, fork, initializer=_one_blas_thread)
 
 
 def _subset_task(payload):
@@ -170,7 +175,7 @@ def run_pipeline(config: PipelineConfig):
 
     t0 = time.perf_counter()
     with _worker_pool(config.worker_count if len(payloads) > 1 else 1) as pool:
-        results = list((map if pool is None else pool.map)(_subset_task, payloads))
+        results = list(pool.map(_subset_task, payloads))
     times["reconstruct"] = time.perf_counter() - t0
 
     _, skeleton, skel_err = results[0]
@@ -180,15 +185,8 @@ def run_pipeline(config: PipelineConfig):
     failed_clusters = [(i, err) for i, recon, err in results[1:] if recon is None]
 
     t0 = time.perf_counter()
-    merged, report = merge_all(
-        skeleton,
-        clusters,
-        dataset.features,
-        pairs,
-        MergeOptions(
-            threshold_px=config.merge_threshold_px, rng_seed=config.rng_seed
-        ),
-    )
+    options = MergeOptions(threshold_px=config.merge_threshold_px, rng_seed=config.rng_seed)
+    merged, report = merge_all(skeleton, clusters, dataset.features, pairs, options)
     times["merge"] = time.perf_counter() - t0
 
     metrics = EvalMetrics(

@@ -212,11 +212,8 @@ def descriptor_dataset(tmp_path):
 
 def openblas_threads():
     """Thread count of each OpenBLAS mapped into this process, by file name."""
-    with open("/proc/self/maps") as fh:
-        paths = sorted({line.split()[-1] for line in fh if "libscipy_openblas" in line})
     counts = {}
-    for path in paths:
-        suffix = "64_" if "openblas64_" in os.path.basename(path) else ""
+    for path, suffix in run_mod._loaded_openblas():
         get = getattr(ctypes.CDLL(path), f"scipy_openblas_get_num_threads{suffix}")
         get.argtypes, get.restype = [], ctypes.c_int
         counts[os.path.basename(path)] = get()
