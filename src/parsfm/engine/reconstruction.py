@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -12,7 +13,7 @@ from ..geometry import (
     CameraIntrinsics,
     CameraPose,
     matrix_to_quaternion,
-    project_points,
+    pinhole,
     quaternion_to_matrix,
     solve_bundle,
 )
@@ -62,24 +63,41 @@ class Reconstruction:
         )
 
 
+def observation_arrays(recon: Reconstruction, pids):
+    """Every observation of the points pids, in that order, as int64 arrays:
+    (index into pids of the owning point, image ids, keypoint indices)."""
+    tracks = [recon.points[pid][1].observations for pid in pids]
+    length = np.fromiter(map(len, tracks), dtype=np.int64, count=len(tracks))
+    flat = np.fromiter(chain.from_iterable(chain.from_iterable(tracks)), np.int64, 2 * length.sum())
+    return np.repeat(np.arange(len(tracks)), length), flat[0::2], flat[1::2]
+
+
+def observation_geometry(recon: Reconstruction, pids, features):
+    """Every observation of the points pids, in that order: (index into pids
+    (m,), camera rotations (m,3,3), translations (m,3), pinhole terms fx fy
+    cx cy (m,4), keypoint pixels (m,2))."""
+    owner, image, keypoint = observation_arrays(recon, pids)
+    images, slot = np.unique(image, return_inverse=True)
+    cams = [recon.cameras[img] for img in images.tolist()]
+    R = np.array([pose.rotation for _, pose in cams]).reshape(-1, 3, 3)[slot]
+    t = np.array([pose.translation for _, pose in cams]).reshape(-1, 3)[slot]
+    K = np.array([intr.pinhole_terms for intr, _ in cams]).reshape(-1, 4)[slot]
+    px = np.empty((len(image), 2))
+    rows = np.split(np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))[:-1])
+    for img, r in zip(images.tolist(), rows):
+        px[r] = features[img].keypoints[keypoint[r], :2]
+    return owner, R, t, K, px
+
+
 def mean_reprojection_error(recon: Reconstruction, features) -> float:
     """Mean per-observation reprojection error in pixels (inf if any point
     sits behind its camera)."""
-    errors = []
-    by_image = {}
-    for img, pid, px in recon.observations(features):
-        by_image.setdefault(img, []).append((pid, px))
-    for img, obs in by_image.items():
-        intr, pose = recon.cameras[img]
-        X = np.array([recon.points[pid][0] for pid, _ in obs])
-        px = np.array([p for _, p in obs])
-        proj, z = project_points(intr, pose, X)
-        err = np.linalg.norm(proj - px, axis=1)
-        err[z <= 0] = np.inf
-        errors.append(err)
-    if not errors:
-        return 0.0
-    return float(np.concatenate(errors).mean())
+    owner, R, t, K, px = observation_geometry(recon, recon.points, features)
+    X = np.array([xyz for xyz, _ in recon.points.values()]).reshape(-1, 3)[owner]
+    proj, z = pinhole(np.matmul(R, X[:, :, None])[:, :, 0] + t, *K.T)
+    err = np.linalg.norm(proj - px, axis=1)
+    err[z <= 0] = np.inf
+    return float(err.mean()) if len(err) else 0.0
 
 
 def validate_reconstruction(recon: Reconstruction, features=None) -> None:

@@ -75,7 +75,7 @@ def read_dataset(path) -> Dataset:
     matches = {}
     shared_k = None
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok or tok[0].startswith("#"):
                 continue
@@ -84,6 +84,8 @@ def read_dataset(path) -> Dataset:
                 shared_k = tuple(float(v) for v in tok[1:5])
             elif kind == "IMAGE":
                 iid, w, h = int(tok[1]), int(tok[2]), int(tok[3])
+                if iid < 0 or iid in metas:
+                    raise ValueError(f"{path}:{lineno}: negative or duplicate IMAGE id {iid}")
                 metas[iid] = ImageMeta(iid, w, h)
             elif kind == "KEYPOINT":
                 keypoints.setdefault(int(tok[1]), []).append(
@@ -97,9 +99,9 @@ def read_dataset(path) -> Dataset:
                 a, b = int(tok[1]), int(tok[2])
                 ia, ib = int(tok[3]), int(tok[4])
                 if a < b:
-                    matches.setdefault((a, b), []).append((ia, ib))
+                    matches.setdefault((a, b), []).append((ia, ib, lineno))
                 else:
-                    matches.setdefault((b, a), []).append((ib, ia))
+                    matches.setdefault((b, a), []).append((ib, ia, lineno))
             else:
                 raise ValueError(f"unknown record type {kind!r}")
 
@@ -120,7 +122,17 @@ def read_dataset(path) -> Dataset:
     for iid in sorted(metas.keys() - features.keys()):
         features[iid] = FeatureSet(iid, np.zeros((0, 3)), np.zeros((0, dim)))
 
-    pairs = [MatchPair(a, b, np.array(m, dtype=int)) for (a, b), m in sorted(matches.items())]
+    pairs = []
+    for (a, b), rows in sorted(matches.items()):
+        m = np.array(rows, dtype=int)
+        for img, col in ((a, 0), (b, 1)):
+            if img not in metas:
+                raise ValueError(f"{path}:{m[0, 2]}: MATCH names image {img} with no IMAGE record")
+            bad = np.flatnonzero((m[:, col] < 0) | (m[:, col] >= len(keypoints.get(img, ()))))
+            if bad.size:
+                kp, line = m[bad[0], col], m[bad[0], 2]
+                raise ValueError(f"{path}:{line}: MATCH keypoint {kp} not in image {img}")
+        pairs.append(MatchPair(a, b, m[:, :2].copy()))
 
     intrinsics = {}
     if shared_k is not None:

@@ -1,5 +1,6 @@
 from .correspond import (
     CorrespondenceGraph,
+    MatchTable,
     build_correspondence_graph,
     strategy_match_counts,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "CorrespondenceGraph",
     "GcpRecord",
     "GeoReport",
+    "MatchTable",
     "MergeFailure",
     "MergeOptions",
     "MergeReport",

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .correspond import CorrespondenceGraph
+import numpy as np
+
+from ..engine.reconstruction import observation_arrays
+from .correspond import CorrespondenceGraph, feature_keys
 
 
 @dataclass
@@ -19,39 +22,50 @@ class CommonPointSet:
         return len(self.pairs)
 
 
-def feature_point_index(recon) -> dict:
-    """(image, keypoint) -> point id over every track of a reconstruction."""
-    return {
-        (img, kp): pid for pid, (_, track) in recon.points.items() for img, kp in track.observations
-    }
+def feature_point_index(recon):
+    """(sorted feature keys, owning point ids) over every track of a
+    reconstruction. A feature in two tracks belongs to the point later in
+    `recon.points` order."""
+    pids = np.fromiter(recon.points, dtype=np.int64, count=len(recon.points))
+    owner, image, keypoint = observation_arrays(recon, recon.points)
+    # np.unique keeps the first of equal keys, so look from the back
+    keys, last = np.unique(feature_keys(image, keypoint)[::-1], return_index=True)
+    return keys, pids[owner[::-1][last]]
 
 
 def find_common_points(
     cg: CorrespondenceGraph, source, reference, reference_index=None
 ) -> CommonPointSet:
-    """Traverse source observations -> mapped reference features -> reference
-    tracks -> reference points.
+    """Join source observations -> linked reference features -> reference
+    points.
 
-    A source point mapping to several reference points keeps the pair with
-    the most supporting feature links (ties: lower reference point id).
-    reference_index is `feature_point_index(reference)`, built here when not
-    given.
+    Every link is one vote. A source point voting for several reference
+    points keeps the pair with the most votes (ties: lower reference point
+    id). reference_index is `feature_point_index(reference)`, built here
+    when not given.
     """
-    if reference_index is None:
-        reference_index = feature_point_index(reference)
+    ref_keys, ref_pids = reference_index or feature_point_index(reference)
+    spids = sorted(source.points)
+    owner, image, keypoint = observation_arrays(source, spids)
+    keys = feature_keys(image, keypoint)
+    lo = np.searchsorted(cg.source_keys, keys, side="left")
+    n = np.searchsorted(cg.source_keys, keys, side="right") - lo
+    # one row per (source observation, link)
+    owner = np.repeat(owner, n)
+    link = np.arange(n.sum()) + np.repeat(lo - np.cumsum(n) + n, n)
+    target = cg.reference_keys[link]
+    at = np.searchsorted(ref_keys, target)
+    hit = at < len(ref_keys)
+    hit[hit] = ref_keys[at[hit]] == target[hit]
+    owner, rpid = owner[hit], ref_pids[at[hit]]
 
-    out = CommonPointSet()
-    for spid in sorted(source.points):
-        _, track = source.points[spid]
-        votes = {}
-        for img, kp in track.observations:
-            for ref_feat in cg.lookup(img, kp):
-                rpid = reference_index.get(ref_feat)
-                if rpid is not None:
-                    votes[rpid] = votes.get(rpid, 0) + 1
-        if not votes:
-            continue
-        rpid = min(votes, key=lambda r: (-votes[r], r))
-        out.pairs.append((spid, rpid))
-        out.support.append(votes[rpid])
-    return out
+    rpids, rank = np.unique(rpid, return_inverse=True)
+    cells, votes = np.unique(owner * len(rpids) + rank, return_counts=True)
+    owner, rank = np.divmod(cells, max(len(rpids), 1))
+    # stable: among equal votes the lower reference id stays first
+    best = np.lexsort((-votes, owner))
+    best = best[np.unique(owner[best], return_index=True)[1]]
+    return CommonPointSet(
+        list(zip(np.array(spids)[owner[best]].tolist(), rpids[rank[best]].tolist())),
+        votes[best].tolist(),
+    )

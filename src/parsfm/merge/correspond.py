@@ -1,72 +1,86 @@
-"""Cross-reconstruction feature mapping built from a minimal set of matches.
+"""Cross-reconstruction feature links built from a minimal set of matches.
 
-Only the match pairs with one image in the source reconstruction and the
-other in the reference reconstruction are loaded; loaded_match_count is the
-number of such pairs and doubles as the memory-consumption proxy when the
-strategies are compared.
+A feature is keyed by one int64, image * 2**32 + keypoint. A MatchTable
+flattens the match store once; a correspondence graph takes from it only the
+pairs with one image in the source reconstruction and the other in the
+reference reconstruction. loaded_match_count is the number of such pairs and
+doubles as the memory-consumption proxy when the strategies are compared.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
+
+
+def feature_keys(image, keypoint):
+    """int64 key of each (image, keypoint) feature."""
+    return np.asarray(image, dtype=np.int64) << 32 | np.asarray(keypoint, dtype=np.int64)
+
+
+@dataclass
+class MatchTable:
+    """Every match of a store: per pair the two image ids and the match count,
+    per match row the keys of both features, rows grouped by pair."""
+
+    image_a: np.ndarray
+    image_b: np.ndarray
+    size: np.ndarray
+    key_a: np.ndarray
+    key_b: np.ndarray
+
+    @classmethod
+    def from_pairs(cls, match_pairs) -> "MatchTable":
+        a, b, size = np.array(
+            [(p.image_id_a, p.image_id_b, len(p.matches)) for p in match_pairs], dtype=np.int64
+        ).reshape(-1, 3).T
+        m = np.concatenate([p.matches for p in match_pairs] + [np.empty((0, 2), np.int64)])
+        keys = feature_keys(np.repeat(np.stack([a, b], axis=1), size, axis=0), m)
+        return cls(a, b, size, *np.ascontiguousarray(keys.T))
 
 
 @dataclass
 class CorrespondenceGraph:
-    """One-directional map (source image, keypoint) -> reference features."""
+    """One-directional source -> reference feature links as two parallel key
+    arrays, sorted by source key."""
 
-    mapping: dict = field(default_factory=dict)
+    source_keys: np.ndarray
+    reference_keys: np.ndarray
     loaded_match_count: int = 0
-    source_images: set = field(default_factory=set)
-
-    def lookup(self, image_id, kp_idx):
-        return self.mapping.get((image_id, kp_idx), [])
 
 
-def build_correspondence_graph(source, reference, match_pairs) -> CorrespondenceGraph:
-    """Load exactly the source-to-reference match pairs into a mapping."""
-    src_images = source.image_ids()
-    ref_images = reference.image_ids()
-    cg = CorrespondenceGraph(source_images=src_images)
-    for pair in match_pairs:
-        a, b = pair.image_id_a, pair.image_id_b
-        if a in src_images and b in ref_images:
-            src_img, ref_img = a, b
-            m = pair.matches
-        elif b in src_images and a in ref_images:
-            src_img, ref_img = b, a
-            m = pair.matches[:, ::-1]
-        else:
-            continue
-        cg.loaded_match_count += 1
-        for si, ri in m:
-            cg.mapping.setdefault((src_img, int(si)), []).append(
-                (ref_img, int(ri))
-            )
-    return cg
+def _pair_masks(source, reference, table: MatchTable):
+    """Per pair: loaded as a -> b, loaded as b -> a, touches a source image.
+    A pair with both images in both reconstructions loads once, as a -> b."""
+    src = np.fromiter(source.image_ids(), dtype=np.int64)
+    ref = np.fromiter(reference.image_ids(), dtype=np.int64)
+    a_src, b_src = np.isin(table.image_a, src), np.isin(table.image_b, src)
+    forward = a_src & np.isin(table.image_b, ref)
+    backward = ~forward & b_src & np.isin(table.image_a, ref)
+    return forward, backward, a_src | b_src
 
 
-def strategy_match_counts(source, reference, match_pairs) -> dict:
+def build_correspondence_graph(source, reference, table: MatchTable) -> CorrespondenceGraph:
+    """Load exactly the source-to-reference match pairs."""
+    forward, backward, _ = _pair_masks(source, reference, table)
+    rows_f = np.repeat(forward, table.size)
+    rows_b = np.repeat(backward, table.size)
+    src = np.concatenate([table.key_a[rows_f], table.key_b[rows_b]])
+    ref = np.concatenate([table.key_b[rows_f], table.key_a[rows_b]])
+    order = np.argsort(src, kind="stable")
+    return CorrespondenceGraph(src[order], ref[order], int(forward.sum() + backward.sum()))
+
+
+def strategy_match_counts(source, reference, table: MatchTable) -> dict:
     """Loaded-pair counts of the three loading strategies.
 
     on_demand: only source-to-reference pairs; pairwise: every pair touching
     a source image; all_dataset: the entire match store.
     """
-    src_images = source.image_ids()
-    ref_images = reference.image_ids()
-    on_demand = 0
-    pairwise = 0
-    for pair in match_pairs:
-        a, b = pair.image_id_a, pair.image_id_b
-        touches_src = a in src_images or b in src_images
-        if touches_src:
-            pairwise += 1
-        if (a in src_images and b in ref_images) or (
-            b in src_images and a in ref_images
-        ):
-            on_demand += 1
+    forward, backward, touches_src = _pair_masks(source, reference, table)
     return {
-        "on_demand": on_demand,
-        "pairwise": pairwise,
-        "all_dataset": len(match_pairs),
+        "on_demand": int(forward.sum() + backward.sum()),
+        "pairwise": int(touches_src.sum()),
+        "all_dataset": len(table.size),
     }

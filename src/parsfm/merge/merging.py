@@ -9,7 +9,7 @@ import numpy as np
 from ..engine import Track, bundle_adjust, mean_reprojection_error
 from ..geometry import BaOptions, CameraPose, SimilarityTransform
 from .common import feature_point_index, find_common_points
-from .correspond import build_correspondence_graph, strategy_match_counts
+from .correspond import MatchTable, build_correspondence_graph, strategy_match_counts
 from .ransac import DEFAULT_MERGE_THRESHOLD_PX, MergeFailure, ransac_similarity
 
 FINAL_BA_ITERATIONS = 50
@@ -105,7 +105,7 @@ def merge_pair(global_model, cluster, T, inlier_pairs):
     return global_model
 
 
-def _evaluate_cluster(model, model_index, cluster, match_pairs):
+def _evaluate_cluster(model, model_index, cluster, table):
     """Common points of a cluster against the model, with the smaller
     reconstruction as traversal source. model_index is the model's
     `feature_point_index`. Returns (common, cluster_is_source, strategy
@@ -114,9 +114,9 @@ def _evaluate_cluster(model, model_index, cluster, match_pairs):
         source, reference, forward = cluster, model, True
     else:
         source, reference, forward = model, cluster, False
-    cg = build_correspondence_graph(source, reference, match_pairs)
+    cg = build_correspondence_graph(source, reference, table)
     common = find_common_points(cg, source, reference, model_index if forward else None)
-    counts = strategy_match_counts(source, reference, match_pairs)
+    counts = strategy_match_counts(source, reference, table)
     assert cg.loaded_match_count == counts["on_demand"]
     return common, forward, counts
 
@@ -133,6 +133,7 @@ def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions 
     rng = np.random.default_rng(opts.rng_seed)
     remaining = dict(enumerate(clusters))
     report = MergeReport()
+    table = MatchTable.from_pairs(match_pairs)
 
     while remaining:
         # the model changes only when a cluster merges, so once per pass
@@ -140,7 +141,7 @@ def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions 
         candidates = []
         for idx in sorted(remaining):
             common, forward, counts = _evaluate_cluster(
-                model, model_index, remaining[idx], match_pairs
+                model, model_index, remaining[idx], table
             )
             candidates.append((idx, common, forward, counts))
         candidates.sort(key=lambda c: (-len(c[1]), c[0]))
@@ -181,6 +182,7 @@ def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions 
             report.dropped = sorted(remaining)
             break
 
+    del table  # the final BA sets the peak memory
     report.error_before_final_ba = mean_reprojection_error(model, features)
     bundle_adjust(model, features, BaOptions(max_iterations=FINAL_BA_ITERATIONS))
     report.error_after_final_ba = mean_reprojection_error(model, features)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..engine.reconstruction import observation_geometry
 from ..geometry import (
     DegenerateGeometryError,
     adaptive_ransac,
@@ -19,28 +20,6 @@ SIMILARITY_MAX_ITERATIONS = 10000
 
 class MergeFailure(Exception):
     """Raised when two reconstructions cannot be aligned."""
-
-
-def _observations(recon, pids, features):
-    """Every observation of the listed points, in order: (index into pids
-    (m,), rotations (m,3,3), translations (m,3), fx fy cx cy (m,4), pixels
-    (m,2))."""
-    owner, R, t, K, px = [], [], [], [], []
-    for k, pid in enumerate(pids):
-        for img, kp in recon.points[pid][1].observations:
-            intr, pose = recon.cameras[img]
-            owner.append(k)
-            R.append(pose.rotation)
-            t.append(pose.translation)
-            K.append(intr.pinhole_terms)
-            px.append(features[img].keypoints[kp, :2])
-    return (
-        np.array(owner, dtype=int),
-        np.array(R).reshape(-1, 3, 3),
-        np.array(t).reshape(-1, 3),
-        np.array(K).reshape(-1, 4),
-        np.array(px).reshape(-1, 2),
-    )
 
 
 class BidirectionalResiduals:
@@ -61,8 +40,8 @@ class BidirectionalResiduals:
         self.src_pos = np.array([source.points[s][0] for s, _ in pairs]).reshape(n, 3)
         self.ref_pos = np.array([reference.points[r][0] for _, r in pairs]).reshape(n, 3)
         # reference observations score the mapped source points, and vice versa
-        ref_owner, *ref_obs = _observations(reference, [r for _, r in pairs], features)
-        src_owner, *src_obs = _observations(source, [s for s, _ in pairs], features)
+        ref_owner, *ref_obs = observation_geometry(reference, [r for _, r in pairs], features)
+        src_owner, *src_obs = observation_geometry(source, [s for s, _ in pairs], features)
         self.ref_owner, self.src_owner = ref_owner, src_owner
         self.R, self.t, self.K, self.px = (
             np.concatenate(parts) for parts in zip(ref_obs, src_obs)

@@ -150,3 +150,48 @@ def call_with_deadline(fn, seconds=10.0):
     thread.join(seconds)
     assert not thread.is_alive(), f"call still running after {seconds} s"
     return box
+
+
+def common_points_reference(source, reference, pairs):
+    """Dict-based common-point search, one match and one observation at a
+    time: (pairs, support, loaded pair count) as `find_common_points` over
+    `build_correspondence_graph` must give them.
+
+    A pair with both images in both reconstructions loads once, as a -> b.
+    Every (source observation, linked reference feature) is one vote; a
+    source point keeps its most-voted reference point, the lower id on a
+    tie. A feature in two reference tracks belongs to the later point in
+    `reference.points` order.
+    """
+    src_images, ref_images = source.image_ids(), reference.image_ids()
+    mapping = {}
+    loaded = 0
+    for pair in pairs:
+        a, b = pair.image_id_a, pair.image_id_b
+        if a in src_images and b in ref_images:
+            src_img, ref_img, m = a, b, pair.matches
+        elif b in src_images and a in ref_images:
+            src_img, ref_img, m = b, a, pair.matches[:, ::-1]
+        else:
+            continue
+        loaded += 1
+        for si, ri in m:
+            mapping.setdefault((src_img, int(si)), []).append((ref_img, int(ri)))
+    index = {
+        (img, kp): pid
+        for pid, (_, track) in reference.points.items()
+        for img, kp in track.observations
+    }
+    out_pairs, support = [], []
+    for spid in sorted(source.points):
+        votes = {}
+        for obs in source.points[spid][1].observations:
+            for ref_feat in mapping.get(obs, []):
+                rpid = index.get(ref_feat)
+                if rpid is not None:
+                    votes[rpid] = votes.get(rpid, 0) + 1
+        if votes:
+            rpid = min(votes, key=lambda r: (-votes[r], r))
+            out_pairs.append((spid, rpid))
+            support.append(votes[rpid])
+    return out_pairs, support, loaded

@@ -29,7 +29,13 @@ from parsfm.geometry.ba import _Problem
 from parsfm.graphalgo import extract_wcds
 from parsfm.matchgraph import MatchGraph
 from parsfm.matchgraph.dataset import read_dataset
-from parsfm.merge import find_common_points, build_correspondence_graph, georeference, ransac_similarity
+from parsfm.merge import (
+    MatchTable,
+    build_correspondence_graph,
+    find_common_points,
+    georeference,
+    ransac_similarity,
+)
 from parsfm.pipeline import (
     PipelineConfig,
     SynthConfig,
@@ -194,7 +200,7 @@ class TestSimilarityEstimation:
         src_model = gt_reconstruction(scene)
         T = random_similarity(np.random.default_rng(22))
         ref_model = transform_recon(src_model, T)
-        cg = build_correspondence_graph(src_model, ref_model, scene["pairs"])
+        cg = build_correspondence_graph(src_model, ref_model, MatchTable.from_pairs(scene["pairs"]))
         common = find_common_points(cg, src_model, ref_model)
         n = len(common.pairs)
         rng2 = np.random.default_rng(23)

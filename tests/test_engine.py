@@ -15,7 +15,7 @@ from parsfm.engine import (
     write_reconstruction,
 )
 from parsfm.engine.incremental import SeedFailure, _median_angle_deg, _pair_pixels
-from parsfm.geometry import CameraPose, project, umeyama_similarity
+from parsfm.geometry import BehindCameraError, CameraPose, project, umeyama_similarity
 from parsfm.matchgraph import FeatureSet, MatchGraph, MatchPair
 
 from helpers import default_intrinsics, look_at_pose, make_scene
@@ -377,6 +377,51 @@ class TestIncrementalReconstruct:
                 scene["images"], {}, scene["features"], scene["pairs"],
                 scene["intrinsics"], opts,
             )
+
+
+def reprojection_reference(recon, features):
+    """Mean reprojection error one observation at a time, inf when any
+    point sits behind its camera."""
+    errors = []
+    for pid in sorted(recon.points):
+        X, track = recon.points[pid]
+        for img, kp in track.observations:
+            intr, pose = recon.cameras[img]
+            try:
+                px = project(intr, pose, X)
+            except BehindCameraError:
+                return np.inf
+            errors.append(np.linalg.norm(px - features[img].keypoints[kp, :2]))
+    return float(np.mean(errors)) if errors else 0.0
+
+
+class TestMeanReprojectionError:
+    def test_equals_per_observation_loop(self):
+        scene = make_scene(n_cams=8, n_pts=60, noise=0.7, seed=41)
+        rng = np.random.default_rng(41)
+        recon = Reconstruction()
+        for img in scene["images"]:
+            recon.cameras[img] = (scene["intrinsics"][img], scene["gt_poses"][img])
+        recon.registered_order = list(scene["images"])
+        # point ids out of order, tracks of 2-8 random images
+        for k in rng.permutation(len(scene["points"])).tolist():
+            images = rng.choice(scene["images"], size=rng.integers(2, 9), replace=False)
+            obs = sorted((int(img), k) for img in images)
+            X = scene["points"][k] + rng.normal(0.0, 0.01, 3)
+            recon.points[100 + k] = (X, Track(100 + k, obs))
+        expect = reprojection_reference(recon, scene["features"])
+        got = mean_reprojection_error(recon, scene["features"])
+        assert expect > 0.5
+        assert got == pytest.approx(expect, rel=1e-12)
+
+        # a point behind one of its cameras makes the mean infinite
+        img, _ = recon.points[100][1].observations[0]
+        pose = recon.cameras[img][1]
+        recon.points[100] = (pose.center() - pose.rotation[2], recon.points[100][1])
+        assert reprojection_reference(recon, scene["features"]) == np.inf
+        assert mean_reprojection_error(recon, scene["features"]) == np.inf
+
+        assert mean_reprojection_error(Reconstruction(), scene["features"]) == 0.0
 
 
 class TestReconstructionContainer:

@@ -521,7 +521,7 @@ class TestDatasetIO:
     def test_match_orientation_normalized(self, tmp_path):
         ds = Dataset(
             metas={0: ImageMeta(0, 10, 10), 1: ImageMeta(1, 10, 10)},
-            features={},
+            features={i: FeatureSet(i, np.ones((8, 3)), np.zeros((8, 0))) for i in (0, 1)},
             pairs=[MatchPair(1, 0, [(5, 7)])],
         )
         path = tmp_path / "d.txt"
@@ -530,3 +530,28 @@ class TestDatasetIO:
         pair = back.pairs[0]
         assert (pair.image_id_a, pair.image_id_b) == (0, 1)
         assert np.array_equal(pair.oriented(1), [[5, 7]])
+
+    @pytest.mark.parametrize(
+        "bad, line, message",
+        [
+            ("MATCH 0 1 0 2", 8, "MATCH keypoint 2 not in image 1"),
+            ("MATCH 1 0 3 0", 8, "MATCH keypoint 3 not in image 1"),
+            ("MATCH 0 5 0 0", 8, "MATCH names image 5 with no IMAGE record"),
+            ("MATCH 0 1 -1 0", 8, "MATCH keypoint -1 not in image 0"),
+            ("MATCH 1 -3 0 0", 8, "MATCH names image -3 with no IMAGE record"),
+            ("IMAGE -2 640 480", 8, "negative or duplicate IMAGE id -2"),
+            ("IMAGE 1 640 480", 8, "negative or duplicate IMAGE id 1"),
+        ],
+    )
+    def test_bad_record_rejected_with_its_line(self, tmp_path, bad, line, message):
+        path = tmp_path / "d.txt"
+        path.write_text(
+            "INTRINSICS 500 500 320 240\n"
+            "IMAGE 0 640 480\nIMAGE 1 640 480\n"
+            "KEYPOINT 0 1 2 1\nKEYPOINT 0 3 4 1\nKEYPOINT 1 1 2 1\nKEYPOINT 1 5 6 1\n"
+            f"{bad}\n"
+            "MATCH 0 1 1 1\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_dataset(path)
+        assert str(err.value) == f"{path}:{line}: {message}"

@@ -8,11 +8,12 @@ from parsfm.engine import (
     validate_reconstruction,
 )
 from parsfm.geometry import SimilarityTransform
-from parsfm.matchgraph import FeatureSet
+from parsfm.matchgraph import FeatureSet, MatchPair
 from parsfm.merge import (
     BidirectionalResiduals,
     CorrespondenceGraph,
     GcpRecord,
+    MatchTable,
     MergeFailure,
     build_correspondence_graph,
     find_common_points,
@@ -26,9 +27,10 @@ from parsfm.merge import (
     write_gcps,
 )
 from parsfm.merge import merging
+from parsfm.merge.correspond import feature_keys
 from parsfm.merge.merging import MergeOptions
 
-from helpers import make_scene, random_rotation
+from helpers import common_points_reference, make_scene, random_rotation
 
 
 def gt_reconstruction(scene, images=None, recon_id=0):
@@ -67,33 +69,33 @@ class TestCorrespondenceGraph:
         b = make_scene(n_cams=4, n_pts=30, seed=1, id_offset=10, offset=(100, 0, 0))
         src = gt_reconstruction(b)
         ref = gt_reconstruction(a)
-        cg = build_correspondence_graph(src, ref, a["pairs"] + b["pairs"])
+        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(a["pairs"] + b["pairs"]))
         assert cg.loaded_match_count == 0
-        assert cg.mapping == {}
+        assert cg.source_keys.size == cg.reference_keys.size == 0
 
     def test_loads_only_cross_pairs(self):
         scene = make_scene(n_cams=8, n_pts=40, seed=2)
         src = gt_reconstruction(scene, images=[0, 1, 2, 3], recon_id=1)
         ref = gt_reconstruction(scene, images=[4, 5, 6, 7], recon_id=2)
-        cg = build_correspondence_graph(src, ref, scene["pairs"])
+        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(scene["pairs"]))
         expect = sum(
             1
             for p in scene["pairs"]
             if (p.image_id_a in {0, 1, 2, 3}) != (p.image_id_b in {0, 1, 2, 3})
         )
         assert cg.loaded_match_count == expect
-        for (img, _), targets in cg.mapping.items():
-            assert img in {0, 1, 2, 3}
-            assert all(t[0] in {4, 5, 6, 7} for t in targets)
+        assert set((cg.source_keys >> 32).tolist()) <= {0, 1, 2, 3}
+        assert set((cg.reference_keys >> 32).tolist()) <= {4, 5, 6, 7}
 
     def test_strategy_count_ordering(self):
         scene = make_scene(n_cams=10, n_pts=40, seed=3)
         src = gt_reconstruction(scene, images=[0, 1, 2])
         ref = gt_reconstruction(scene, images=[3, 4, 5, 6])
-        counts = strategy_match_counts(src, ref, scene["pairs"])
+        table = MatchTable.from_pairs(scene["pairs"])
+        counts = strategy_match_counts(src, ref, table)
         assert counts["on_demand"] <= counts["pairwise"] <= counts["all_dataset"]
         assert counts["on_demand"] < counts["pairwise"]
-        cg = build_correspondence_graph(src, ref, scene["pairs"])
+        cg = build_correspondence_graph(src, ref, table)
         assert cg.loaded_match_count == counts["on_demand"]
 
 
@@ -101,7 +103,7 @@ class TestFindCommonPoints:
     def test_identity_pairs_every_point(self):
         scene = make_scene(n_cams=6, n_pts=30, seed=4)
         recon = gt_reconstruction(scene)
-        cg = build_correspondence_graph(recon, recon, scene["pairs"])
+        cg = build_correspondence_graph(recon, recon, MatchTable.from_pairs(scene["pairs"]))
         common = find_common_points(cg, recon, recon)
         assert sorted(common.pairs) == [(k, k) for k in range(30)]
 
@@ -109,7 +111,7 @@ class TestFindCommonPoints:
         scene = make_scene(n_cams=12, n_pts=40, seed=5)
         src = gt_reconstruction(scene, images=range(6, 12))
         ref = gt_reconstruction(scene, images=range(0, 8))
-        cg = build_correspondence_graph(src, ref, scene["pairs"])
+        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(scene["pairs"]))
         common = find_common_points(cg, src, ref)
         assert sorted(common.pairs) == [(k, k) for k in range(40)]
 
@@ -119,13 +121,11 @@ class TestFindCommonPoints:
         ref = Reconstruction()
         ref.points[10] = (np.zeros(3), Track(10, [(2, 0), (3, 0)]))
         ref.points[11] = (np.zeros(3), Track(11, [(2, 1), (3, 1)]))
+        # links (0, 0) -> (2, 0); (1, 0) -> (3, 0) and (2, 1)
         cg = CorrespondenceGraph(
-            mapping={
-                (0, 0): [(2, 0)],
-                (1, 0): [(3, 0), (2, 1)],
-            },
+            source_keys=feature_keys([0, 1, 1], [0, 0, 0]),
+            reference_keys=feature_keys([2, 3, 2], [0, 0, 1]),
             loaded_match_count=3,
-            source_images={0, 1},
         )
         common = find_common_points(cg, src, ref)
         assert common.pairs == [(0, 10)]  # 2 links vs 1
@@ -137,9 +137,61 @@ class TestFindCommonPoints:
         ref = Reconstruction()
         ref.points[10] = (np.zeros(3), Track(10, [(2, 0)]))
         ref.points[11] = (np.zeros(3), Track(11, [(2, 1)]))
-        cg = CorrespondenceGraph(mapping={(0, 0): [(2, 0)], (1, 0): [(2, 1)]})
+        # links (0, 0) -> (2, 0); (1, 0) -> (2, 1)
+        cg = CorrespondenceGraph(
+            source_keys=feature_keys([0, 1], [0, 0]),
+            reference_keys=feature_keys([2, 2], [0, 1]),
+        )
         common = find_common_points(cg, src, ref)
         assert common.pairs == [(0, 10)]
+
+
+def random_join_case(rng, n_kp=25):
+    """Source and reference over random image ids, half of them >= 1000,
+    four images in both and one in neither. Tracks pick random keypoints, so
+    a feature can sit in two reference tracks, and point ids are inserted
+    out of order. Every match pair repeats up to two of its rows."""
+    ids = rng.choice(np.r_[0:40, 1000:1040], size=12, replace=False).tolist()
+
+    def recon(images, n_pts, first_pid):
+        r = Reconstruction(cameras=dict.fromkeys(images))
+        for pid in (rng.permutation(n_pts) + first_pid).tolist():
+            chosen = rng.choice(images, size=rng.integers(1, 4), replace=False)
+            obs = sorted((img, int(rng.integers(n_kp))) for img in chosen.tolist())
+            r.points[pid] = (np.zeros(3), Track(pid, obs))
+        return r
+
+    source, reference = recon(ids[:7], 40, 0), recon(ids[3:11], 60, 500)
+    pairs = []
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if rng.random() < 0.6:
+                m = rng.integers(n_kp, size=(int(rng.integers(1, 12)), 2))
+                pairs.append(MatchPair(a, b, np.vstack([m, m[: rng.integers(3)]])))
+    return source, reference, pairs
+
+
+class TestCommonPointsOracle:
+    def test_join_equals_dict_reference(self):
+        rng = np.random.default_rng(31)
+        seen = {"both_ways": 0, "unlinked": 0, "feature_in_two_tracks": 0, "id_1000": 0}
+        for _ in range(30):
+            source, reference, pairs = random_join_case(rng)
+            table = MatchTable.from_pairs(pairs)
+            for src, ref in ((source, reference), (reference, source)):
+                cg = build_correspondence_graph(src, ref, table)
+                common = find_common_points(cg, src, ref)
+                expect, support, loaded = common_points_reference(src, ref, pairs)
+                assert (common.pairs, common.support) == (expect, support)
+                assert cg.loaded_match_count == loaded
+                assert strategy_match_counts(src, ref, table)["on_demand"] == loaded
+                seen["unlinked"] += len(common) < src.num_points()
+            both = source.image_ids() & reference.image_ids()
+            seen["both_ways"] += any({p.image_id_a, p.image_id_b} <= both for p in pairs)
+            feats = [o for _, t in reference.points.values() for o in t.observations]
+            seen["feature_in_two_tracks"] += len(set(feats)) < len(feats)
+            seen["id_1000"] += max(both) >= 1000
+        assert all(seen.values()), seen
 
 
 def transform_residual(pair, T, source, reference, features):
@@ -288,7 +340,7 @@ class TestRansacSimilarity:
         src = gt_reconstruction(scene)
         T = random_similarity(np.random.default_rng(seed + 100))
         ref = transform_recon(src, T)
-        cg = build_correspondence_graph(src, ref, scene["pairs"])
+        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(scene["pairs"]))
         common = find_common_points(cg, src, ref)
         return scene, src, ref, T, common
 
@@ -423,9 +475,10 @@ class TestMergeAll:
 
         def spy(cg, source, reference, *index):
             common = find_common_points(cg, source, reference, *index)
-            fresh = find_common_points(cg, source, reference)
+            pairs, support, loaded = common_points_reference(source, reference, scene["pairs"])
             calls.append((reference.num_cameras(), source.num_cameras(), index))
-            assert (common.pairs, common.support) == (fresh.pairs, fresh.support)
+            assert (common.pairs, common.support) == (pairs, support)
+            assert cg.loaded_match_count == loaded
             return common
 
         monkeypatch.setattr(merging, "find_common_points", spy)
