@@ -9,15 +9,14 @@ import numpy as np
 from ..geometry import (
     BaOptions,
     CameraPose,
-    DegenerateGeometryError,
     EstimationFailure,
     estimate_relative_pose,
-    project_points,
+    pinhole,
     resect_camera,
     solve_bundle,
-    triangulate,
 )
-from .reconstruction import Reconstruction
+from ..geometry.twoview import TRI_OK, triangulate_tracks, widest_ray_angle
+from .reconstruction import Reconstruction, keypoint_pixels
 from .tracks import Track, build_tracks
 
 
@@ -57,14 +56,9 @@ def _pair_pixels(pair, features):
 
 def _median_angle_deg(pose2, intr1, intr2, pixels):
     """Median ray intersection angle of matches under (identity, pose2)."""
-    n1 = intr1.normalize(pixels[:, 0])
-    n2 = intr2.normalize(pixels[:, 1])
-    d1 = np.hstack([n1, np.ones((len(n1), 1))])
-    d1 /= np.linalg.norm(d1, axis=1, keepdims=True)
-    d2 = np.hstack([n2, np.ones((len(n2), 1))]) @ pose2.rotation
-    d2 /= np.linalg.norm(d2, axis=1, keepdims=True)
-    cos = np.clip(np.abs(np.einsum("ni,ni->n", d1, d2)), 0.0, 1.0)
-    return float(np.degrees(np.median(np.arccos(cos))))
+    n = np.stack([intr1.normalize(pixels[:, 0]), intr2.normalize(pixels[:, 1])], axis=1)
+    R = np.broadcast_to([np.eye(3), pose2.rotation], (len(n), 2, 3, 3))
+    return float(np.degrees(np.median(widest_ray_angle(n, R))))
 
 
 def select_seed_pair(
@@ -114,117 +108,127 @@ def select_seed_pair(
 
 
 class _Builder:
-    """Mutable state of one incremental run."""
+    """Mutable state of one incremental run.
+
+    Tracks live in one observation table, a row per observation sorted by
+    track, then image: track id, camera (index into `images`), keypoint,
+    pixel, and the `active` flag that pruning clears. `by_image` lists the
+    rows by camera, track order within one, camera c's from image_start[c].
+    A track's point is X[track] where `valid` is set; `seq` numbers the
+    points in the order they were triangulated, the order of the
+    observations in a full BA.
+    """
 
     def __init__(self, subset, features, pairs, intrinsics, opts, recon_id):
-        self.features = features
-        self.intrinsics = intrinsics
-        self.opts = opts
-        self.subset = set(subset)
-        self.pairs = [
-            p
-            for p in pairs
-            if p.image_id_a in self.subset and p.image_id_b in self.subset
-        ]
-        self.tracks = build_tracks(self.pairs)
-        # active observations survive pruning; tracks themselves are immutable
-        self.active = {t.point_id: list(t.observations) for t in self.tracks}
-        self.by_image = {}
-        for t in self.tracks:
-            for img, kp in t.observations:
-                self.by_image.setdefault(img, []).append((t.point_id, kp))
+        self.features, self.intrinsics, self.opts = features, intrinsics, opts
+        members = set(subset)
+        self.images = np.array(sorted(members), dtype=np.int64)
+        self.pairs = [p for p in pairs if p.image_id_a in members and p.image_id_b in members]
+        tracks = build_tracks(self.pairs)
+        self.obs_track = np.repeat(np.arange(len(tracks)), [len(t.observations) for t in tracks])
+        flat = np.array([obs for t in tracks for obs in t.observations], dtype=np.int64)
+        image, self.obs_kp = flat.reshape(-1, 2).T
+        self.obs_cam = np.searchsorted(self.images, image)
+        self.obs_px = keypoint_pixels(features, image, self.obs_kp)
+        self.active = np.ones(len(image), dtype=bool)
+        self.by_image = np.argsort(self.obs_cam, kind="stable")
+        n = len(self.images)
+        self.image_start = np.searchsorted(self.obs_cam[self.by_image], np.arange(n + 1))
+        self.reachable = np.count_nonzero(np.diff(self.image_start))  # images holding a track
+        self.registered = np.zeros(n, dtype=bool)
+        self.K, self.R, self.t = np.zeros((n, 4)), np.zeros((n, 3, 3)), np.zeros((n, 3))
+        self.X = np.zeros((len(tracks), 3))
+        self.valid = np.zeros(len(tracks), dtype=bool)
+        self.seq = np.zeros(len(tracks), dtype=np.int64)
         self.poses = {}  # image_id -> CameraPose
         self.order = []
-        self.X = {}  # track id -> xyz
         self.rng = np.random.default_rng(opts.rng_seed)
         self.recon_id = recon_id
         self.seed_key = None  # set once a seed pair is chosen
 
     # -- helpers ---------------------------------------------------------
 
-    def _pixel(self, img, kp):
-        return self.features[img].keypoints[kp, :2]
+    def _set_poses(self, poses):
+        self.poses.update(poses)
+        cam = np.searchsorted(self.images, list(poses))
+        self.registered[cam] = True
+        self.K[cam] = [self.intrinsics[i].pinhole_terms for i in poses]
+        self.R[cam] = [pose.rotation for pose in poses.values()]
+        self.t[cam] = [pose.translation for pose in poses.values()]
 
-    def _registered_obs(self, tid):
-        return [(i, k) for i, k in self.active[tid] if i in self.poses]
+    def _image_rows(self, cam):
+        return self.by_image[self.image_start[cam] : self.image_start[cam + 1]]
 
-    def _try_triangulate(self, tid):
-        obs = self._registered_obs(tid)
-        if len(obs) < 2:
-            return False
-        data = [
-            (self.intrinsics[i], self.poses[i], self._pixel(i, k)) for i, k in obs
-        ]
-        try:
-            X = triangulate(data, self.opts.min_tri_angle_deg)
-        except (DegenerateGeometryError, EstimationFailure):
-            return False
-        for intr, pose, px in data:
-            proj, z = project_points(intr, pose, X.reshape(1, 3))
-            if z[0] <= 0 or np.linalg.norm(proj[0] - px) > self.opts.max_reprojection_px:
-                return False
-        self.X[tid] = X
-        return True
+    def _seen_by(self, cam):
+        """Mask of the tracks with a row in camera cam."""
+        mask = np.zeros(len(self.valid), dtype=bool)
+        mask[self.obs_track[self._image_rows(cam)]] = True
+        return mask
 
-    def _visible_count(self, img):
-        return sum(1 for tid, _ in self.by_image.get(img, []) if tid in self.X)
+    def _usable_rows(self, tracks):
+        """Active rows in registered cameras of the tracks in the mask."""
+        return np.flatnonzero(tracks[self.obs_track] & self.active & self.registered[self.obs_cam])
 
-    def _ba(self, camera_ids, point_ids, fixed_cameras, max_iterations):
-        cams = {i: self.poses[i] for i in camera_ids}
-        intr = {i: self.intrinsics[i] for i in camera_ids}
-        pts = {t: self.X[t] for t in point_ids}
-        obs = []
-        for tid in point_ids:
-            for img, kp in self._registered_obs(tid):
-                if img in cams:
-                    obs.append((img, tid, self._pixel(img, kp)))
-        opts = BaOptions(
-            max_iterations=max_iterations, fixed_camera_ids=set(fixed_cameras)
+    def _triangulate(self, tracks):
+        """Triangulate the tracks of the mask (none has a point) that have two
+        or more usable rows; those that pass every check get a point."""
+        rows = self._usable_rows(tracks)
+        tid, count = np.unique(self.obs_track[rows], return_counts=True)
+        rows = rows[np.repeat(count >= 2, count)]
+        tid, count = tid[count >= 2], count[count >= 2]
+        cam = self.obs_cam[rows]
+        X, status = triangulate_tracks(
+            count, self.K[cam], self.R[cam], self.t[cam], self.obs_px[rows],
+            self.opts.min_tri_angle_deg, self.opts.max_reprojection_px,
         )
-        solve_bundle(cams, intr, pts, obs, opts)
-        self.poses.update(cams)
-        self.X.update(pts)
+        new = tid[status == TRI_OK]
+        self.X[new] = X[status == TRI_OK]
+        self.valid[new] = True
+        self.seq[new] = self.seq.max(initial=0) + 1 + np.arange(len(new))
 
-    def _local_ba(self, new_img):
-        pts = [tid for tid, _ in self.by_image.get(new_img, []) if tid in self.X]
-        if not pts:
-            return
-        cams = {i for tid in pts for i, _ in self._registered_obs(tid)}
-        self._ba(cams, pts, cams - {new_img}, self.opts.local_ba_iterations)
+    def _ba(self, cams, rows, fixed_cameras, max_iterations):
+        """BA of the cameras cams over the observation rows and their points."""
+        images = self.images[cams].tolist()
+        tracks = np.unique(self.obs_track[rows])
+        cameras = {i: self.poses[i] for i in images}
+        points = dict(zip(tracks.tolist(), self.X[tracks]))
+        obs = (self.images[self.obs_cam[rows]], self.obs_track[rows], self.obs_px[rows])
+        opts = BaOptions(max_iterations=max_iterations, fixed_camera_ids=set(fixed_cameras))
+        solve_bundle(cameras, {i: self.intrinsics[i] for i in images}, points, obs, opts)
+        self._set_poses(cameras)
+        self.X[tracks] = list(points.values())
+
+    def _local_ba(self, cam):
+        rows = self._usable_rows(self._seen_by(cam) & self.valid)
+        if len(rows):
+            cams = np.unique(self.obs_cam[rows])
+            fixed = self.images[cams[cams != cam]].tolist()
+            self._ba(cams, rows, fixed, self.opts.local_ba_iterations)
+
+    def _full_ba(self):
+        """Every registered camera and every point, the observations in the
+        order their points were triangulated."""
+        rows = self._usable_rows(self.valid)
+        rows = rows[np.argsort(self.seq[self.obs_track[rows]], kind="stable")]
+        self._ba(np.flatnonzero(self.registered), rows, (), self.opts.global_ba_iterations)
 
     def _global_ba(self):
-        self._ba(set(self.poses), list(self.X), (), self.opts.global_ba_iterations)
+        self._full_ba()
         self._prune()
         # failed/pruned tracks get another chance once the geometry improved
-        for t in self.tracks:
-            if t.point_id not in self.X:
-                self._try_triangulate(t.point_id)
+        self._triangulate(~self.valid)
 
     def _prune(self):
-        thr = self.opts.max_reprojection_px
-        if not self.X:
-            return
-        per_img = {}
-        for tid in self.X:
-            for img, kp in self.active[tid]:
-                if img in self.poses:
-                    per_img.setdefault(img, []).append((tid, kp))
-        drop = set()
-        for img, items in per_img.items():
-            kps = np.array([k for _, k in items], dtype=int)
-            Xs = np.array([self.X[t] for t, _ in items])
-            proj, z = project_points(self.intrinsics[img], self.poses[img], Xs)
-            px = self.features[img].keypoints[kps, :2]
-            err = np.linalg.norm(proj - px, axis=1)
-            for i in np.nonzero((z <= 0) | (err > thr))[0]:
-                drop.add((items[i][0], img, int(kps[i])))
-        for tid in {t for t, _, _ in drop}:
-            self.active[tid] = [
-                (i, k) for i, k in self.active[tid] if (tid, i, k) not in drop
-            ]
-        for tid in list(self.X):
-            if len(self._registered_obs(tid)) < 2:
-                del self.X[tid]
+        """Deactivate the usable rows that reproject badly, then drop the
+        points left with fewer than two usable rows."""
+        rows = self._usable_rows(self.valid)
+        cam = self.obs_cam[rows]
+        world = self.X[self.obs_track[rows], :, None]
+        proj, z = pinhole(np.matmul(self.R[cam], world)[..., 0] + self.t[cam], *self.K[cam].T)
+        err = np.linalg.norm(proj - self.obs_px[rows], axis=1)
+        self.active[rows[(z <= 0) | (err > self.opts.max_reprojection_px)]] = False
+        tracks = self.obs_track[self._usable_rows(self.valid)]
+        self.valid &= np.bincount(tracks, minlength=len(self.valid)) >= 2
 
     # -- main loop -------------------------------------------------------
 
@@ -241,56 +245,44 @@ class _Builder:
             g, self.features, self.intrinsics, self.opts, rng=self.rng, exclude=exclude
         )
         self.seed_key = (a, b)
-        self.poses[a] = CameraPose.identity()
-        self.poses[b] = pose2
+        self._set_poses({a: CameraPose.identity(), b: pose2})
         self.order = [a, b]
-        for t in self.tracks:
-            self._try_triangulate(t.point_id)
-        if len(self.X) < self.opts.min_resection_corrs:
+        self._triangulate(np.ones(len(self.valid), dtype=bool))
+        if self.valid.sum() < self.opts.min_resection_corrs:
             raise SeedFailure("seed pair yields too few triangulated points")
-        self._ba(
-            {a, b}, list(self.X), (), self.opts.global_ba_iterations
-        )
+        self._full_ba()
         self._prune()
 
     def run(self, exclude=frozenset()):
         self.initialize(exclude)
         last_global = len(self.poses)
-        failed_at = {}  # image -> visible count when registration last failed
+        n = len(self.images)
+        failed_at = np.full(n, -1)  # visible count at the last failure
         while True:
-            best = None
-            for img in sorted(self.subset - set(self.poses)):
-                visible = self._visible_count(img)
-                if visible < self.opts.min_resection_corrs:
-                    continue
-                if failed_at.get(img, -1) >= visible:
-                    continue  # nothing changed since the last failure
-                if best is None or visible > best[1]:
-                    best = (img, visible)
-            if best is None:
+            visible = np.bincount(self.obs_cam[self.valid[self.obs_track]], minlength=n)
+            # skip a camera whose visible count has not grown since it failed
+            ready = (visible >= self.opts.min_resection_corrs) & (visible > failed_at)
+            ready &= ~self.registered
+            if not ready.any():
                 break
-            img, visible = best
-            corrs = [
-                (self.X[tid], self._pixel(img, kp))
-                for tid, kp in self.by_image[img]
-                if tid in self.X
-            ]
+            cam = int(np.argmax(np.where(ready, visible, -1)))  # lowest image id on a tie
+            img = int(self.images[cam])
+            rows = self._image_rows(cam)
+            rows = rows[self.valid[self.obs_track[rows]]]
             try:
                 pose, _ = resect_camera(
-                    corrs,
+                    list(zip(self.X[self.obs_track[rows]], self.obs_px[rows])),
                     self.intrinsics[img],
                     threshold_px=self.opts.ransac_threshold_px,
                     rng=self.rng,
                 )
             except EstimationFailure:
-                failed_at[img] = visible
+                failed_at[cam] = visible[cam]
                 continue
-            self.poses[img] = pose
+            self._set_poses({img: pose})
             self.order.append(img)
-            for tid, _ in self.by_image[img]:
-                if tid not in self.X:
-                    self._try_triangulate(tid)
-            self._local_ba(img)
+            self._triangulate(self._seen_by(cam) & ~self.valid)
+            self._local_ba(cam)
             if len(self.poses) >= self.opts.growth_ratio * last_global:
                 self._global_ba()
                 last_global = len(self.poses)
@@ -302,10 +294,12 @@ class _Builder:
         for img in self.poses:
             recon.cameras[img] = (self.intrinsics[img], self.poses[img])
         recon.registered_order = list(self.order)
-        for tid in sorted(self.X):
-            obs = sorted(self._registered_obs(tid))
-            if len(obs) >= 2:
-                recon.points[tid] = (self.X[tid], Track(tid, obs))
+        rows = self._usable_rows(self.valid)
+        tid, start, count = np.unique(self.obs_track[rows], return_index=True, return_counts=True)
+        obs = list(zip(self.images[self.obs_cam[rows]].tolist(), self.obs_kp[rows].tolist()))
+        for t, lo, n in zip(tid.tolist(), start.tolist(), count.tolist()):
+            if n >= 2:
+                recon.points[t] = (self.X[t].copy(), Track(t, obs[lo : lo + n]))
         return recon
 
 
@@ -350,7 +344,7 @@ def incremental_reconstruct(
             best.num_points(),
         ):
             best = recon
-        reachable = len(builder.by_image)  # images holding at least one track
+        reachable = builder.reachable
         if recon.num_cameras() >= min(reachable, max(3, 0.5 * reachable)):
             break
         tried.add(builder.seed_key)

@@ -43,14 +43,6 @@ class Reconstruction:
     def next_point_id(self) -> int:
         return max(self.points, default=-1) + 1
 
-    def observations(self, features):
-        """Flat (image_id, point_id, pixel) list over all point tracks."""
-        out = []
-        for pid, (_, track) in sorted(self.points.items()):
-            for img, kp in track.observations:
-                out.append((img, pid, features[img].keypoints[kp, :2]))
-        return out
-
     def copy(self) -> "Reconstruction":
         return Reconstruction(
             self.recon_id,
@@ -72,6 +64,17 @@ def observation_arrays(recon: Reconstruction, pids):
     return np.repeat(np.arange(len(tracks)), length), flat[0::2], flat[1::2]
 
 
+def keypoint_pixels(features, image, keypoint):
+    """(m,2) pixels of the keypoints (image ids, keypoint indices), one
+    gather per image."""
+    images, slot = np.unique(image, return_inverse=True)
+    px = np.empty((len(image), 2))
+    rows = np.split(np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))[:-1])
+    for img, r in zip(images.tolist(), rows):
+        px[r] = features[img].keypoints[keypoint[r], :2]
+    return px
+
+
 def observation_geometry(recon: Reconstruction, pids, features):
     """Every observation of the points pids, in that order: (index into pids
     (m,), camera rotations (m,3,3), translations (m,3), pinhole terms fx fy
@@ -82,11 +85,7 @@ def observation_geometry(recon: Reconstruction, pids, features):
     R = np.array([pose.rotation for _, pose in cams]).reshape(-1, 3, 3)[slot]
     t = np.array([pose.translation for _, pose in cams]).reshape(-1, 3)[slot]
     K = np.array([intr.pinhole_terms for intr, _ in cams]).reshape(-1, 4)[slot]
-    px = np.empty((len(image), 2))
-    rows = np.split(np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))[:-1])
-    for img, r in zip(images.tolist(), rows):
-        px[r] = features[img].keypoints[keypoint[r], :2]
-    return owner, R, t, K, px
+    return owner, R, t, K, keypoint_pixels(features, image, keypoint)
 
 
 def mean_reprojection_error(recon: Reconstruction, features) -> float:
@@ -120,19 +119,31 @@ def validate_reconstruction(recon: Reconstruction, features=None) -> None:
             raise ValueError("mean reprojection error is not finite")
 
 
-def bundle_adjust(recon: Reconstruction, features, opts: BaOptions = None) -> BaReport:
-    """Refine all poses and points of the reconstruction in place."""
-    opts = opts or BaOptions()
+def bundle_adjust(recon: Reconstruction, features, opts: BaOptions = None, anchors=()) -> BaReport:
+    """Refine all poses and points of the reconstruction in place.
+
+    anchors: extra points (point id, xyz, [(image id, pixel)]) that join the
+    problem with their observations in registered images, such as ground
+    control; opts.fixed_point_ids holds them in place.
+    """
     cameras = {i: pose for i, (_, pose) in recon.cameras.items()}
     intrinsics = {i: intr for i, (intr, _) in recon.cameras.items()}
     points = {p: xyz for p, (xyz, _) in recon.points.items()}
-    report = solve_bundle(
-        cameras, intrinsics, points, recon.observations(features), opts
+    points.update({pid: xyz for pid, xyz, _ in anchors})
+    extra = [(img, pid, *px) for pid, _, obs in anchors for img, px in obs if img in cameras]
+    extra = np.array(extra, dtype=float).reshape(-1, 4)  # image, point, pixel
+    pids = sorted(recon.points)
+    owner, image, keypoint = observation_arrays(recon, pids)
+    observations = (
+        np.concatenate([image, extra[:, 0].astype(np.int64)]),
+        np.concatenate([np.array(pids, dtype=np.int64)[owner], extra[:, 1].astype(np.int64)]),
+        np.vstack([keypoint_pixels(features, image, keypoint), extra[:, 2:]]),
     )
+    report = solve_bundle(cameras, intrinsics, points, observations, opts or BaOptions())
     for i, pose in cameras.items():
         recon.cameras[i] = (intrinsics[i], pose)
-    for p, xyz in points.items():
-        recon.points[p] = (np.asarray(xyz, dtype=float), recon.points[p][1])
+    for p, (_, track) in recon.points.items():
+        recon.points[p] = (np.asarray(points[p], dtype=float), track)
     return report
 
 
@@ -162,21 +173,14 @@ def read_reconstruction(path, intrinsics, recon_id: int = 0) -> Reconstruction:
             if not tok:
                 continue
             if tok[0] == "CAMERA":
-                img = int(tok[1])
-                q = np.array([float(v) for v in tok[2:6]])
-                t = np.array([float(v) for v in tok[6:9]])
-                pose = CameraPose(quaternion_to_matrix(q), t)
+                img, q = int(tok[1]), np.array([float(v) for v in tok[2:6]])
+                pose = CameraPose(quaternion_to_matrix(q), [float(v) for v in tok[6:9]])
                 recon.cameras[img] = (intrinsics[img], pose)
                 recon.registered_order.append(img)
             elif tok[0] == "POINT":
-                pid = int(tok[1])
+                pid, ids = int(tok[1]), [int(v) for v in tok[6 : 6 + 2 * int(tok[5])]]
                 xyz = np.array([float(v) for v in tok[2:5]])
-                n_obs = int(tok[5])
-                obs = [
-                    (int(tok[6 + 2 * k]), int(tok[7 + 2 * k]))
-                    for k in range(n_obs)
-                ]
-                recon.points[pid] = (xyz, Track(pid, obs))
+                recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
             else:
                 raise ValueError(f"unknown record {tok[0]!r}")
     return recon

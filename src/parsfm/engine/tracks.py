@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -12,53 +12,39 @@ class Track:
     point_id: int
     observations: list  # (image_id, keypoint_idx), one per image
 
-    def images(self):
-        return [img for img, _ in self.observations]
-
-
-class _UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        root = x
-        while self.parent.setdefault(root, root) != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
 
 def build_tracks(pairs) -> list:
     """Tie pair-wise matches into tracks.
 
     Tracks observing one image twice are inconsistent and dropped, as are
-    tracks shorter than two observations.
+    tracks shorter than two observations. A feature is the key
+    image << 32 | keypoint while tracks are built; track ids follow the
+    order of the union-find roots.
     """
-    uf = _UnionFind()
+    parent = {}
+
+    def find(x):
+        root = x
+        while parent.setdefault(root, root) != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
     for pair in pairs:
-        a, b = pair.image_id_a, pair.image_id_b
-        for ia, ib in pair.matches:
-            uf.union((a, int(ia)), (b, int(ib)))
+        a, b = int(pair.image_id_a) << 32, int(pair.image_id_b) << 32
+        for ia, ib in pair.matches.tolist():
+            ra, rb = find(a | ia), find(b | ib)
+            if ra != rb:
+                parent[ra] = rb
 
     groups = {}
-    for node in uf.parent:
-        groups.setdefault(uf.find(node), []).append(node)
-
+    for node in parent:
+        groups.setdefault(find(node), []).append(node)
     tracks = []
-    tid = 0
     for root in sorted(groups):
-        obs = sorted(groups[root])
-        if len(obs) < 2:
-            continue
-        images = [img for img, _ in obs]
-        if len(set(images)) != len(images):
-            continue  # two keypoints of one image collapsed: inconsistent
-        tracks.append(Track(tid, obs))
-        tid += 1
+        obs = [(key >> 32, key & 0xFFFFFFFF) for key in sorted(groups[root])]
+        images = {img for img, _ in obs}
+        if len(obs) >= 2 and len(images) == len(obs):  # else two keypoints of one image
+            tracks.append(Track(len(tracks), obs))
     return tracks

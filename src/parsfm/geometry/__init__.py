@@ -15,7 +15,7 @@ from .ransac import (
     EstimationFailure,
     adaptive_ransac,
 )
-from .twoview import estimate_relative_pose, triangulate, triangulation_angle
+from .twoview import estimate_relative_pose, triangulate
 from .resection import resect_camera
 from .ba import BaOptions, BaReport, solve_bundle
 from .similarity import SimilarityTransform, umeyama_similarity
@@ -41,6 +41,5 @@ __all__ = [
     "resect_camera",
     "solve_bundle",
     "triangulate",
-    "triangulation_angle",
     "umeyama_similarity",
 ]

@@ -74,8 +74,17 @@ class _Problem:
     def __init__(self, cameras, intrinsics, points, observations, opts: BaOptions):
         self.cam_ids = sorted(cameras)
         self.pt_ids = sorted(points)
-        self.cam_index = {c: i for i, c in enumerate(self.cam_ids)}
-        self.pt_index = {p: i for i, p in enumerate(self.pt_ids)}
+        obs_img, obs_pt, obs_xy = observations
+        cam_ids, pt_ids = np.array(self.cam_ids), np.array(self.pt_ids)
+        self.obs_cam = np.minimum(np.searchsorted(cam_ids, obs_img), len(cam_ids) - 1)
+        self.obs_pt = np.minimum(np.searchsorted(pt_ids, obs_pt), len(pt_ids) - 1)
+        unknown = (cam_ids[self.obs_cam] != obs_img) | (pt_ids[self.obs_pt] != obs_pt)
+        if unknown.any():
+            k = int(np.argmax(unknown))
+            raise KeyError(
+                f"observation references unknown camera/point ({obs_img[k]}, {obs_pt[k]})"
+            )
+        self.obs_xy = np.asarray(obs_xy, dtype=float).reshape(-1, 2)
         self.R = np.array([cameras[c].rotation for c in self.cam_ids])
         self.t = np.array([cameras[c].translation for c in self.cam_ids])
         self.X = np.array([points[p] for p in self.pt_ids], dtype=float)
@@ -86,10 +95,6 @@ class _Problem:
                 raise ValueError(f"{kind} {ids[int(np.argmin(finite))]} is not finite")
         K = np.array([intrinsics[c].pinhole_terms for c in self.cam_ids], dtype=float)
         self.fx, self.fy, self.cx, self.cy = K.reshape(-1, 4).T
-
-        self.obs_cam = np.array([self.cam_index[c] for c, _, _ in observations], dtype=int)
-        self.obs_pt = np.array([self.pt_index[p] for _, p, _ in observations], dtype=int)
-        self.obs_xy = np.array([xy for _, _, xy in observations], dtype=float)
 
         fixed_cams = set(opts.fixed_camera_ids)
         if self.cam_ids and not fixed_cams and not opts.fixed_point_ids:
@@ -182,7 +187,7 @@ class _Problem:
 def _free_slots(ids, fixed):
     """Indices of the ids not in `fixed`, and the dense slot of each id in
     the parameter vector (-1 if fixed)."""
-    free = np.array([i for i, x in enumerate(ids) if x not in fixed], dtype=int)
+    free = np.flatnonzero(~np.isin(ids, list(fixed)))
     slot = np.full(len(ids), -1, dtype=int)
     slot[free] = np.arange(len(free))
     return free, slot
@@ -239,16 +244,13 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
     cameras: dict image_id -> CameraPose (mutated)
     intrinsics: dict image_id -> CameraIntrinsics (never touched)
     points: dict point_id -> 3-vector (mutated)
-    observations: iterable of (image_id, point_id, pixel 2-vector)
-    A pose or point that is not finite raises ValueError naming its id.
+    observations: three aligned arrays, image ids (m,), point ids (m,) and
+    pixels (m,2)
+    An observation naming an unknown camera or point raises KeyError, and a
+    pose or point that is not finite ValueError, naming the id.
     """
-    observations = list(observations)
-    if not observations or not cameras or not points:
+    if not len(observations[2]) or not cameras or not points:
         return BaReport()
-    for c, p, _ in observations:
-        if c not in cameras or p not in points:
-            raise KeyError(f"observation references unknown camera/point ({c}, {p})")
-
     prob = _Problem(cameras, intrinsics, points, observations, opts)
     r, valid, cost, v, p = prob.residuals(prob.R, prob.t, prob.X)
     report = BaReport(

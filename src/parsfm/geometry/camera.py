@@ -40,16 +40,6 @@ class CameraIntrinsics:
             raise ValueError("principal_y outside image bounds")
 
     @property
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [
-                [self.focal_x, 0.0, self.principal_x],
-                [0.0, self.focal_y, self.principal_y],
-                [0.0, 0.0, 1.0],
-            ]
-        )
-
-    @property
     def pinhole_terms(self):
         """(fx, fy, cx, cy), the arguments of `pinhole`."""
         return self.focal_x, self.focal_y, self.principal_x, self.principal_y
@@ -84,9 +74,6 @@ class CameraPose:
         """Map world points (N,3) into the camera frame."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return pts @ self.rotation.T + self.translation
-
-    def inverse(self) -> "CameraPose":
-        return CameraPose(self.rotation.T, -self.rotation.T @ self.translation)
 
     def copy(self) -> "CameraPose":
         return CameraPose(self.rotation.copy(), self.translation.copy())

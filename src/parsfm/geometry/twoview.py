@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .camera import CameraIntrinsics, CameraPose, project_rotation
+from .camera import CameraIntrinsics, CameraPose, pinhole, project_rotation
 from .ransac import DegenerateGeometryError, EstimationFailure, adaptive_ransac
 
 DEFAULT_MIN_TRI_ANGLE_DEG = 2.0
@@ -15,50 +15,79 @@ def _svd(A: np.ndarray):
     return np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
 
 
-def triangulation_angle(observations) -> float:
-    """Maximum pairwise angle (radians) between viewing rays."""
-    n = np.ones((len(observations), 3))
-    R = np.empty((len(observations), 3, 3))
-    for k, (intr, pose, px) in enumerate(observations):
-        n[k, :2] = intr.normalize(px)
-        R[k] = pose.rotation
-    rays = np.einsum("kji,kj->ki", R, n)  # world direction R^T n of each ray
-    rays /= np.linalg.norm(rays, axis=1, keepdims=True)
+# triangulate_tracks status: accepted, or the first check failed in this
+# order: widest ray angle below the gate, point at infinity, a non-positive
+# depth in some camera, a reprojection error above the bound
+TRI_OK, TRI_NARROW, TRI_AT_INFINITY, TRI_BEHIND, TRI_REPROJECTION = range(5)
+
+
+def widest_ray_angle(n, R):
+    """Widest angle (radians) between the world rays R^T (n, 1) of each
+    track: normalized pixels n (T,k,2), rotations R (T,k,3,3)."""
+    rays = np.einsum("...ji,...j->...i", R, np.concatenate([n, np.ones_like(n[..., :1])], -1))
+    rays /= np.linalg.norm(rays, axis=-1, keepdims=True)
     # the widest pair has the smallest |cos|; the diagonal pairs a ray with itself
-    gram = np.abs(rays @ rays.T)
-    np.fill_diagonal(gram, 1.0)
-    return float(np.arccos(min(gram.min(), 1.0)))
+    gram = np.abs(rays @ rays.swapaxes(-1, -2))
+    d = np.arange(n.shape[-2])
+    gram[..., d, d] = 1.0
+    return np.arccos(np.minimum(gram.min(axis=(-1, -2)), 1.0))
+
+
+def triangulate_tracks(
+    lengths, K, R, t, px, min_tri_angle_deg=DEFAULT_MIN_TRI_ANGLE_DEG, max_error_px=np.inf
+):
+    """Linear least-squares (DLT) points of many tracks at once.
+
+    Track j owns lengths[j] >= 2 consecutive rows of the pinhole terms K
+    (m,4), rotations R (m,3,3), translations t (m,3) and pixels px (m,2);
+    the tracks of one length are one stack of SVDs. Returns (points (T,3),
+    status (T,)), the status TRI_OK or the first check the point failed.
+    """
+    lengths = np.asarray(lengths)
+    X, status = np.full((len(lengths), 3), np.nan), np.zeros(len(lengths), dtype=np.int8)
+    start = np.cumsum(lengths) - lengths
+    n_all = (px - K[:, 2:]) / K[:, :2]
+    for k in np.unique(lengths):
+        tracks = np.flatnonzero(lengths == k)
+        rows = start[tracks, None] + np.arange(k)  # (T,k)
+        n, Rk, tk = n_all[rows], R[rows], t[rows]
+        P = np.concatenate([Rk, tk[..., None]], axis=-1)  # [R | t]
+        # rows x P[2] - P[0] and y P[2] - P[1] of each view
+        A = (n[..., None] * P[..., 2:3, :] - P[..., :2, :]).reshape(len(tracks), 2 * k, 4)
+        Xh = np.linalg.svd(A, full_matrices=False)[2][:, -1]
+        infinite = np.abs(Xh[:, 3]) < 1e-14
+        X[tracks] = Xh[:, :3] / np.where(infinite, 1.0, Xh[:, 3])[:, None]
+        cam = np.matmul(Rk, X[tracks][:, None, :, None])[..., 0] + tk
+        proj, z = pinhole(cam, *np.moveaxis(K[rows], -1, 0))
+        err = np.linalg.norm(proj - px[rows], axis=-1)
+        failed = [widest_ray_angle(n, Rk) < np.deg2rad(min_tri_angle_deg), infinite,
+                  (z <= 0).any(axis=1), (err > max_error_px).any(axis=1)]
+        status[tracks] = np.select(failed, [TRI_NARROW, TRI_AT_INFINITY, TRI_BEHIND,
+                                            TRI_REPROJECTION])
+    return X, status
 
 
 def triangulate(observations, min_tri_angle_deg: float = DEFAULT_MIN_TRI_ANGLE_DEG):
-    """Linear least-squares intersection of >=2 viewing rays.
+    """triangulate_tracks of one track of >=2 (CameraIntrinsics, CameraPose,
+    pixel 2-vector) observations.
 
-    observations: list of (CameraIntrinsics, CameraPose, pixel 2-vector).
     Raises DegenerateGeometryError when the maximum pairwise ray angle is
-    below ``min_tri_angle_deg`` and EstimationFailure when the solution lies
-    behind any camera.
+    below ``min_tri_angle_deg`` or the point is at infinity, and
+    EstimationFailure when it lies behind any camera.
     """
     if len(observations) < 2:
         raise ValueError("need at least 2 observations")
-    if triangulation_angle(observations) < np.deg2rad(min_tri_angle_deg):
-        raise DegenerateGeometryError("triangulation angle below minimum")
-
-    rows = []
-    for intr, pose, px in observations:
-        n = intr.normalize(np.asarray(px, dtype=float))
-        P = np.hstack([pose.rotation, pose.translation.reshape(3, 1)])
-        rows.append(n[0] * P[2] - P[0])
-        rows.append(n[1] * P[2] - P[1])
-    A = np.array(rows)
-    _, _, Vt = _svd(A)
-    Xh = Vt[-1]
-    if abs(Xh[3]) < 1e-14:
+    intr, poses, px = zip(*observations)
+    K = np.array([i.pinhole_terms for i in intr], dtype=float)
+    R, t = np.array([p.rotation for p in poses]), np.array([p.translation for p in poses])
+    X, status = triangulate_tracks([len(px)], K, R, t, np.array(px, dtype=float), min_tri_angle_deg)
+    if status[0] == TRI_BEHIND:
+        raise EstimationFailure("triangulated point behind a camera")
+    if status[0] == TRI_AT_INFINITY:
         raise DegenerateGeometryError("point at infinity")
-    X = Xh[:3] / Xh[3]
-    for intr, pose, _ in observations:
-        if pose.transform(X)[0, 2] <= 0:
-            raise EstimationFailure("triangulated point behind a camera")
-    return X
+    if status[0] == TRI_NARROW:
+        raise DegenerateGeometryError("triangulation angle below minimum")
+    return X[0]
 
 
 def _eight_point_essential(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -108,18 +137,13 @@ def _decompose_essential(E: np.ndarray):
 
 
 def _cheirality_counts(R, t, x1, x2):
-    """Depth-positive count for pose candidate (R, t) of camera 2 w.r.t. camera 1."""
-    P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-    P = np.stack([P1, np.hstack([R, t.reshape(3, 1)])])  # (camera, 3, 4)
-    x = np.stack([x1, x2], axis=1)[..., None]  # (N, camera, coordinate, 1)
-    # rows x_k P[2] - P[k] of each point's 4x4 DLT system, all solved as one stack
-    A = (x * P[:, 2:3] - P[:, :2]).reshape(-1, 4, 4)
-    Xh = np.linalg.svd(A)[2][:, -1]
-    Xh = Xh[np.abs(Xh[:, 3]) >= 1e-14]  # points at infinity never count
-    X = Xh[:, :3] / Xh[:, 3:]
-    # a batched matrix-vector product rounds exactly like R @ X per point
-    z2 = np.matmul(R, X[:, :, None])[:, 2, 0] + t[2]
-    return int(np.count_nonzero((X[:, 2] > 0) & (z2 > 0)))
+    """Depth-positive count for pose candidate (R, t) of camera 2 w.r.t. camera
+    1: each match of normalized points x1, x2 is one two-view track."""
+    n = len(x1)
+    K = np.tile([1.0, 1.0, 0.0, 0.0], (2 * n, 1))  # normalized points are their own pixels
+    R, t = np.tile([np.eye(3), R], (n, 1, 1)), np.tile([np.zeros(3), t], (n, 1))
+    _, status = triangulate_tracks(np.full(n, 2), K, R, t, np.hstack([x1, x2]).reshape(-1, 2), 0.0)
+    return int(np.count_nonzero(status == TRI_OK))
 
 
 def estimate_relative_pose(

@@ -8,7 +8,9 @@ Sections (any order, one record per line):
   MATCH id_a id_b idx_a idx_b
 
 A dataset may carry MATCH records instead of DESC records, in which case
-retrieval and verification are bypassed downstream.
+retrieval and verification are bypassed downstream. Every keypoint of an
+image with DESC records has one, all of one dimension; IMAGE records need
+the INTRINSICS record.
 """
 
 from __future__ import annotations
@@ -68,59 +70,86 @@ def write_dataset(path, dataset: Dataset) -> None:
                 fh.write(f"MATCH {a} {b} {ia} {ib}\n")
 
 
+def _keypoint_line(path, iid, idx):
+    """Line of the KEYPOINT record of keypoint idx of image iid."""
+    with open(path) as fh:
+        own = (n for n, line in enumerate(fh, 1) if line.split()[:2] == ["KEYPOINT", str(iid)])
+        return next(n for k, n in enumerate(own) if k == idx)
+
+
 def read_dataset(path) -> Dataset:
+    """Parse a dataset file. A malformed record raises ValueError starting
+    with its 'path:line'."""
     metas = {}
     keypoints = {}
-    descs = {}
+    descs = {}  # image id -> {keypoint index: (values, line)}
     matches = {}
-    shared_k = None
+    shared_k = first_image = dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok or tok[0].startswith("#"):
                 continue
             kind = tok[0]
-            if kind == "INTRINSICS":
-                shared_k = tuple(float(v) for v in tok[1:5])
-            elif kind == "IMAGE":
-                iid, w, h = int(tok[1]), int(tok[2]), int(tok[3])
+            record = None
+            try:
+                if kind == "MATCH" and len(tok) == 5:
+                    a, b, ia, ib = int(tok[1]), int(tok[2]), int(tok[3]), int(tok[4])
+                    if a < b:
+                        matches.setdefault((a, b), []).append((ia, ib, lineno))
+                    else:
+                        matches.setdefault((b, a), []).append((ib, ia, lineno))
+                    continue
+                if kind == "KEYPOINT" and len(tok) == 5:
+                    keypoints.setdefault(int(tok[1]), []).append(
+                        (float(tok[2]), float(tok[3]), float(tok[4]))
+                    )
+                    continue
+                if kind == "INTRINSICS" and len(tok) == 5:
+                    shared_k = tuple(float(v) for v in tok[1:])
+                    continue
+                if kind == "IMAGE" and len(tok) == 4:
+                    record = int(tok[1]), int(tok[2]), int(tok[3])
+                elif kind == "DESC" and len(tok) > 3:
+                    record = int(tok[1]), int(tok[2]), [float(v) for v in tok[3:]]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric field in {kind} record") from None
+            if record is None:
+                if kind not in ("INTRINSICS", "IMAGE", "KEYPOINT", "DESC", "MATCH"):
+                    raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
+                raise ValueError(f"{path}:{lineno}: {kind} record with {len(tok) - 1} fields")
+            iid = record[0]
+            if kind == "IMAGE":
                 if iid < 0 or iid in metas:
                     raise ValueError(f"{path}:{lineno}: negative or duplicate IMAGE id {iid}")
-                metas[iid] = ImageMeta(iid, w, h)
-            elif kind == "KEYPOINT":
-                keypoints.setdefault(int(tok[1]), []).append(
-                    (float(tok[2]), float(tok[3]), float(tok[4]))
-                )
-            elif kind == "DESC":
-                descs.setdefault(int(tok[1]), {})[int(tok[2])] = [
-                    float(v) for v in tok[3:]
-                ]
-            elif kind == "MATCH":
-                a, b = int(tok[1]), int(tok[2])
-                ia, ib = int(tok[3]), int(tok[4])
-                if a < b:
-                    matches.setdefault((a, b), []).append((ia, ib, lineno))
-                else:
-                    matches.setdefault((b, a), []).append((ib, ia, lineno))
-            else:
-                raise ValueError(f"unknown record type {kind!r}")
+                metas[iid] = ImageMeta(*record)
+                first_image = first_image or lineno
+                continue
+            dim = len(record[2]) if dim is None else dim
+            if len(record[2]) != dim:
+                raise ValueError(f"{path}:{lineno}: DESC of dimension {len(record[2])}, not {dim}")
+            descs.setdefault(iid, {})[record[1]] = (record[2], lineno)
+    if metas and shared_k is None:
+        raise ValueError(f"{path}:{first_image}: IMAGE records with no INTRINSICS record")
 
     features = {}
+    for iid, dmap in descs.items():
+        n = len(keypoints.get(iid, ()))
+        for idx, (_, line) in dmap.items():
+            if not 0 <= idx < n:
+                raise ValueError(f"{path}:{line}: DESC keypoint {idx} not in image {iid}")
+        if len(dmap) < n:
+            idx = min(set(range(n)) - dmap.keys())
+            line = _keypoint_line(path, iid, idx)
+            raise ValueError(f"{path}:{line}: KEYPOINT {idx} of image {iid} has no DESC")
     for iid, kps in keypoints.items():
-        kp = np.array(kps, dtype=float)
-        dmap = descs.get(iid, {})
-        if dmap:
-            dim = len(next(iter(dmap.values())))
-            desc = np.zeros((len(kp), dim))
-            for idx, v in dmap.items():
-                desc[idx] = v
-        else:
-            desc = np.zeros((len(kp), 0))
-        features[iid] = FeatureSet(iid, kp, desc)
+        desc = np.zeros((len(kps), dim if iid in descs else 0))
+        for idx, (v, _) in descs.get(iid, {}).items():
+            desc[idx] = v
+        features[iid] = FeatureSet(iid, np.array(kps, dtype=float), desc)
     # an image without keypoints gets an empty feature set as wide as the rest
-    dim = next((len(v) for dmap in descs.values() for v in dmap.values()), 0)
     for iid in sorted(metas.keys() - features.keys()):
-        features[iid] = FeatureSet(iid, np.zeros((0, 3)), np.zeros((0, dim)))
+        features[iid] = FeatureSet(iid, np.zeros((0, 3)), np.zeros((0, dim or 0)))
 
     pairs = []
     for (a, b), rows in sorted(matches.items()):
@@ -134,9 +163,5 @@ def read_dataset(path) -> Dataset:
                 raise ValueError(f"{path}:{line}: MATCH keypoint {kp} not in image {img}")
         pairs.append(MatchPair(a, b, m[:, :2].copy()))
 
-    intrinsics = {}
-    if shared_k is not None:
-        fx, fy, cx, cy = shared_k
-        for iid, m in metas.items():
-            intrinsics[iid] = CameraIntrinsics(fx, fy, cx, cy, m.width, m.height)
+    intrinsics = {iid: CameraIntrinsics(*shared_k, m.width, m.height) for iid, m in metas.items()}
     return Dataset(metas=metas, features=features, pairs=pairs, intrinsics=intrinsics)

@@ -6,16 +6,15 @@ a constrained BA); check points are held out and report per-axis residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..engine import Reconstruction
+from ..engine import Reconstruction, bundle_adjust
 from ..geometry import (
     BaOptions,
     DegenerateGeometryError,
     EstimationFailure,
-    solve_bundle,
     triangulate,
     umeyama_similarity,
 )
@@ -137,48 +136,17 @@ def georeference(model: Reconstruction, gcps, features, ba_opts: BaOptions = Non
 
     # constrained BA: control coordinates are fixed anchors with their own
     # image observations; negative ids keep them clear of scene points
-    cameras = {i: pose for i, (_, pose) in geo.cameras.items()}
-    intrinsics = {i: intr for i, (intr, _) in geo.cameras.items()}
-    points = {p: xyz for p, (xyz, _) in geo.points.items()}
-    observations = geo.observations(features)
-    fixed_ids = set()
-    for g in usable:
-        pid = -1 - g.gcp_id
-        points[pid] = g.world.copy()
-        fixed_ids.add(pid)
-        for img, px in g.observations:
-            if img in cameras:
-                observations.append((img, pid, np.asarray(px, dtype=float)))
-    opts = ba_opts or BaOptions()
-    opts = BaOptions(
-        max_iterations=opts.max_iterations,
-        gradient_tolerance=opts.gradient_tolerance,
-        parameter_tolerance=opts.parameter_tolerance,
-        fixed_point_ids=fixed_ids,
-    )
-    solve_bundle(cameras, intrinsics, points, observations, opts)
-    for img, pose in cameras.items():
-        geo.cameras[img] = (geo.cameras[img][0], pose)
-    for pid in geo.points:
-        geo.points[pid] = (np.asarray(points[pid], dtype=float), geo.points[pid][1])
+    anchors = [(-1 - g.gcp_id, g.world.copy(), g.observations) for g in usable]
+    fixed = {pid for pid, _, _ in anchors}
+    opts = replace(ba_opts or BaOptions(), fixed_point_ids=fixed, fixed_camera_ids=set())
+    bundle_adjust(geo, features, opts, anchors)
 
     report = GeoReport()
-    deltas = []
     for g in checks:
         X = triangulate_gcp(geo, g)
-        if X is None:
-            continue
-        d = np.abs(X - g.world)
-        report.residuals.append((g.gcp_id, float(d[0]), float(d[1]), float(d[2])))
-        deltas.append(d)
-    if deltas:
-        arr = np.array(deltas)
-        report.stats = {
-            "max": arr.max(axis=0),
-            "mean": arr.mean(axis=0),
-            "std": arr.std(axis=0),
-        }
-    else:
-        zero = np.zeros(3)
-        report.stats = {"max": zero, "mean": zero, "std": zero}
+        if X is not None:
+            report.residuals.append((g.gcp_id, *np.abs(X - g.world).tolist()))
+    d = np.array([r[1:] for r in report.residuals]).reshape(-1, 3)
+    for name, stat in (("max", np.max), ("mean", np.mean), ("std", np.std)):
+        report.stats[name] = stat(d, axis=0) if len(d) else np.zeros(3)
     return geo, report

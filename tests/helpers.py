@@ -195,3 +195,50 @@ def common_points_reference(source, reference, pairs):
             out_pairs.append((spid, rpid))
             support.append(votes[rpid])
     return out_pairs, support, loaded
+
+
+def ba_arrays(observations):
+    """A list of (image id, point id, pixel) as the three aligned arrays that
+    `solve_bundle` takes: image ids (m,), point ids (m,), pixels (m,2)."""
+    image = np.array([c for c, _, _ in observations], dtype=np.int64)
+    point = np.array([p for _, p, _ in observations], dtype=np.int64)
+    pixels = np.array([xy for _, _, xy in observations], dtype=float).reshape(-1, 2)
+    return image, point, pixels
+
+
+def triangulate_reference(observations, min_tri_angle_deg, max_error_px=np.inf):
+    """One track at a time, as the engine triangulated before the batched
+    kernel: (point or None, triangulate_tracks status code). The checks run
+    in the kernel's order: widest ray pair by a double loop against the
+    angle gate, the DLT by one SVD, the point at infinity, the depth in
+    every camera, then the reprojection error of every view."""
+    from parsfm.geometry import project_points
+
+    rays = []
+    for intr, pose, px in observations:
+        n = intr.normalize(np.asarray(px, dtype=float))
+        d = pose.rotation.T @ np.array([n[0], n[1], 1.0])
+        rays.append(d / np.linalg.norm(d))
+    widest = max(
+        np.arccos(min(abs(float(np.dot(rays[i], rays[j]))), 1.0))
+        for i in range(len(rays))
+        for j in range(i + 1, len(rays))
+    )
+    if widest < np.deg2rad(min_tri_angle_deg):
+        return None, 1
+    rows = []
+    for intr, pose, px in observations:
+        n = intr.normalize(np.asarray(px, dtype=float))
+        P = np.hstack([pose.rotation, pose.translation.reshape(3, 1)])
+        rows += [n[0] * P[2] - P[0], n[1] * P[2] - P[1]]
+    Xh = np.linalg.svd(np.array(rows), full_matrices=False)[2][-1]
+    if abs(Xh[3]) < 1e-14:
+        return None, 2
+    X = Xh[:3] / Xh[3]
+    if any(pose.transform(X)[0, 2] <= 0 for _, pose, _ in observations):
+        return None, 3
+    for intr, pose, px in observations:
+        proj, _ = project_points(intr, pose, X.reshape(1, 3))
+        if np.linalg.norm(proj[0] - px) > max_error_px:
+            return None, 4
+    return X, 0

@@ -45,7 +45,7 @@ from parsfm.pipeline import (
     write_synthetic,
 )
 
-from helpers import make_scene, mcds_reference, random_rotation
+from helpers import ba_arrays, make_scene, mcds_reference, random_rotation
 from test_merge import gt_reconstruction, random_similarity, transform_recon
 
 
@@ -247,7 +247,7 @@ class TestBundleAdjustment:
 
     def test_jacobian_and_perturbation_recovery(self, capsys):
         cameras, intrinsics, points, obs = self._scene(31)
-        prob = _Problem(cameras, intrinsics, points, obs, BaOptions())
+        prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
         A, B = prob.jacobians(v, p, valid)
         rng = np.random.default_rng(32)
@@ -288,7 +288,7 @@ class TestBundleAdjustment:
             )
         for j in points:
             points[j] = points[j] + rng.normal(scale=1e-2, size=3)
-        ba = solve_bundle(cameras, intrinsics, points, obs, BaOptions(max_iterations=100))
+        ba = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions(max_iterations=100))
         report(
             capsys,
             "bundle adjustment",
@@ -352,6 +352,7 @@ def standard_parallel(standard_paths, tmp_path_factory):
 
 
 class TestParallelPipeline:
+    @pytest.mark.slow
     def test_parallel_matches_monolithic_quality(
         self, standard_monolithic, standard_parallel, standard_paths, capsys
     ):
@@ -379,6 +380,7 @@ class TestParallelPipeline:
             f"{par_rmse:.3f} vs {mono_rmse:.3f} m, {total:.0f} s total)",
         )
 
+    @pytest.mark.slow
     def test_division_speeds_up_large_blocks(self, tmp_path, capsys):
         cfg = SynthConfig(
             image_count=200,
@@ -420,6 +422,7 @@ class TestParallelPipeline:
             f"(reconstruct+merge {par_wall:.0f} s vs monolithic {mono_wall:.0f} s)",
         )
 
+    @pytest.mark.slow
     def test_on_demand_loading_is_cheapest(self, standard_parallel, capsys):
         _, _, merge_report, _ = standard_parallel
         steps = merge_report.steps
@@ -460,6 +463,7 @@ GEO_STD_BOUND = (0.025, 0.015, 0.30)  # meters, (X, Y, Z)
 
 
 class TestGeoreferencing:
+    @pytest.mark.slow
     def test_check_point_accuracy_within_calibrated_bound(self, tmp_path, capsys):
         cfg = SynthConfig(
             image_count=STANDARD["image_count"],

@@ -7,7 +7,7 @@ from parsfm.geometry import ba
 from parsfm.geometry.ba import _Problem, _solve_schur
 from parsfm.geometry.camera import angle_axis_to_matrix
 
-from helpers import call_with_deadline, default_intrinsics, ring_cameras
+from helpers import ba_arrays, call_with_deadline, default_intrinsics, ring_cameras
 
 
 def make_scene(n_cams=6, n_pts=40, seed=0, noise=0.0):
@@ -93,7 +93,7 @@ def schur_reference(prob, A, B, r, lam):
 
 
 def linearized(cameras, intrinsics, points, obs, opts):
-    prob = _Problem(cameras, intrinsics, points, obs, opts)
+    prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), opts)
     r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
     return prob, r, valid, v, p
 
@@ -111,7 +111,7 @@ class TestJacobian:
         rng = np.random.default_rng(5)
         pick = rng.choice(len(obs), 20, replace=False)
         opts = BaOptions()
-        prob = _Problem(cameras, intrinsics, points, obs, opts)
+        prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), opts)
         r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
         A, B = prob.jacobians(v, p, valid)
         h = 1e-6
@@ -152,7 +152,7 @@ class TestJacobian:
 class TestSolveBundle:
     def test_noiseless_optimum_is_fixed_point(self):
         cameras, intrinsics, points, obs = make_scene()
-        report = solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         assert report.final_mean_error < 1e-9
         assert report.iterations <= 1
         assert report.converged
@@ -166,17 +166,17 @@ class TestSolveBundle:
             dR = angle_axis_to_matrix(rng.normal(scale=1e-3, size=3))
             cameras[i] = CameraPose(dR @ cameras[i].rotation,
                                     cameras[i].translation + rng.normal(scale=1e-3, size=3))
-        report = solve_bundle(cameras, intrinsics, points, obs,
+        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs),
                               BaOptions(max_iterations=100))
         assert report.final_mean_error < 1e-6
 
     def test_cost_never_increases(self):
         cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
-        report = solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         assert report.final_cost <= report.initial_cost + 1e-9
 
     def test_empty_problem_noop(self):
-        report = solve_bundle({}, {}, {}, [], BaOptions())
+        report = solve_bundle({}, {}, {}, ba_arrays([]), BaOptions())
         assert isinstance(report, BaReport)
         assert report.iterations == 0
 
@@ -184,7 +184,7 @@ class TestSolveBundle:
         cameras, intrinsics, points, obs = make_scene(seed=6, noise=0.5)
         frozen = {0, 1, 2}
         before = {j: points[j].copy() for j in frozen}
-        solve_bundle(cameras, intrinsics, points, obs,
+        solve_bundle(cameras, intrinsics, points, ba_arrays(obs),
                      BaOptions(fixed_point_ids=frozen))
         for j in frozen:
             assert np.array_equal(points[j], before[j])
@@ -193,7 +193,7 @@ class TestSolveBundle:
         cameras, intrinsics, points, obs = make_scene(seed=7, noise=0.5)
         pose0 = cameras[0].copy()
         d0 = np.linalg.norm(cameras[1].center() - cameras[0].center())
-        solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         assert np.allclose(cameras[0].rotation, pose0.rotation)
         assert np.allclose(cameras[0].translation, pose0.translation)
         d1 = np.linalg.norm(cameras[1].center() - cameras[0].center())
@@ -202,12 +202,13 @@ class TestSolveBundle:
     def test_unknown_reference_raises(self):
         cameras, intrinsics, points, obs = make_scene(n_cams=2, n_pts=4)
         obs.append((99, 0, np.zeros(2)))
-        with pytest.raises(KeyError):
-            solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        obs.append((0, 77, np.zeros(2)))
+        with pytest.raises(KeyError, match=r"unknown camera/point \(99, 0\)"):
+            solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
 
     def test_report_mean_error_matches_independent_computation(self):
         cameras, intrinsics, points, obs = make_scene(seed=8, noise=0.8)
-        report = solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         assert abs(report.final_mean_error
                    - mean_reproj(cameras, intrinsics, points, obs)) < 1e-9
 
@@ -256,7 +257,7 @@ class TestSchurOracle:
 
         cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
         monkeypatch.setattr(ba, "cho_factor", not_positive_definite)
-        report = solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         assert report.iterations > 0
         assert np.isfinite([report.final_cost, report.final_mean_error]).all()
         assert report.final_cost < report.initial_cost
@@ -265,7 +266,7 @@ class TestSchurOracle:
 class TestNonFiniteStep:
     def test_stepped_rejects_nan_without_hanging(self):
         cameras, intrinsics, points, obs = make_scene(seed=2)
-        prob = _Problem(cameras, intrinsics, points, obs, BaOptions())
+        prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         dc = np.full((len(prob.free_cams), 6), np.nan)
         dp = np.zeros((len(prob.free_pts), 3))
         R, t, X = prob.R.copy(), prob.t.copy(), prob.X.copy()
@@ -292,7 +293,7 @@ class TestNonFiniteStep:
         monkeypatch.setattr(_Problem, "stepped", spy)
         cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
         box = call_with_deadline(
-            lambda: solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+            lambda: solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         )
         report = box["returned"]
         assert lams[1] == pytest.approx(10.0 * lams[0])  # damping went up
@@ -320,7 +321,7 @@ class TestNonFiniteInput:
 
         monkeypatch.setattr(_Problem, "residuals", residuals)
         box = call_with_deadline(
-            lambda: solve_bundle(cameras, intrinsics, points, obs, BaOptions())
+            lambda: solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
         )
         assert isinstance(box.get("raised"), ValueError)
         assert str(box["raised"]) == f"{expected} is not finite"

@@ -11,16 +11,19 @@ from parsfm.geometry import (
     SimilarityTransform,
     adaptive_ransac,
     estimate_relative_pose,
+    pinhole,
     project,
     resect_camera,
     triangulate,
-    triangulation_angle,
     umeyama_similarity,
 )
 from parsfm.geometry import resection
 from parsfm.geometry.camera import angle_axis_to_matrix, project_rotation
 from parsfm.geometry.resection import _dlt_pose, _homography
 from parsfm.geometry.twoview import (
+    TRI_OK,
+    triangulate_tracks,
+    widest_ray_angle,
     _cheirality_counts,
     _decompose_essential,
     _eight_point_essential,
@@ -32,6 +35,7 @@ from helpers import (
     look_at_pose,
     random_rotation,
     ring_cameras,
+    triangulate_reference,
 )
 
 
@@ -127,6 +131,73 @@ class TestTriangulate:
             X = rng.normal(size=3) * 2
             obs = [(intr, p, project(intr, p, X)) for p in poses]
             assert np.allclose(triangulate(obs), X, atol=1e-9)
+
+
+class TestBatchedTriangulation:
+    """triangulate_tracks against the per-track scalar path in helpers."""
+
+    def _special_tracks(self, intr):
+        X = np.array([0.5, -0.2, 0.3])
+        eye = X + np.array([0.0, 0.0, 8.0])
+        # two centres 1 cm apart: rays far below the 2 degree gate
+        narrow = [look_at_pose(eye, X), look_at_pose(eye + (0.01, 0.0, 0.0), X)]
+        narrow = [(intr, p, project(intr, p, X)) for p in narrow]
+        # equal rotations and the principal point in both: parallel rays
+        axis = np.array([0.0, 0.3, -1.0])
+        parallel = [look_at_pose(e, e + axis) for e in (eye, eye + (2.0, 0.0, 0.0))]
+        infinity = [(intr, p, np.array([intr.principal_x, intr.principal_y])) for p in parallel]
+        # a third camera facing away from the point sees it from behind
+        away = look_at_pose(X + (1.0, 1.0, 5.0), X + (2.0, 2.0, 10.0))
+        behind = [(intr, p, project(intr, p, X)) for p in ring_cameras(2, 6.0, 4.0, X)]
+        behind.append((intr, away, pinhole(away.transform(X)[0], *intr.pinhole_terms)[0]))
+        # one view 30 px off
+        outlier = [(intr, p, project(intr, p, X)) for p in ring_cameras(3, 6.0, 4.0, X)]
+        outlier[1] = (intr, outlier[1][1], outlier[1][2] + (30.0, 0.0))
+        return [narrow, infinity, behind, outlier]
+
+    @pytest.mark.parametrize(
+        "gate, max_px, expected", [(2.0, 4.0, [1, 1, 3, 4]), (0.0, np.inf, [0, 2, 3, 0])]
+    )
+    def test_batch_equals_per_track_loop(self, gate, max_px, expected):
+        rng = np.random.default_rng(29)
+        intr = default_intrinsics()
+        tracks = []
+        for views in (2, 3, 6) * 40:
+            X = rng.normal(size=3)
+            poses = [
+                look_at_pose(X + rng.normal(size=3) * 3 + (0, 0, 8), X) for _ in range(views)
+            ]
+            tracks.append(
+                [(intr, p, project(intr, p, X) + rng.normal(scale=2.0, size=2)) for p in poses]
+            )
+        special = self._special_tracks(intr)
+        tracks += special
+        order = rng.permutation(len(tracks))
+        flat = [obs for j in order for obs in tracks[j]]
+        X, status = triangulate_tracks(
+            np.array([len(tracks[j]) for j in order]),
+            np.array([i.pinhole_terms for i, _, _ in flat]),
+            np.array([p.rotation for _, p, _ in flat]),
+            np.array([p.translation for _, p, _ in flat]),
+            np.array([px for _, _, px in flat]),
+            gate,
+            max_px,
+        )
+        ref = [triangulate_reference(tracks[j], gate, max_px) for j in order]
+        assert status.tolist() == [code for _, code in ref]
+        by_track = dict(zip(order.tolist(), [code for _, code in ref]))
+        assert [by_track[len(tracks) - 4 + k] for k in range(4)] == expected
+        assert 0 < (status == TRI_OK).sum() < len(tracks)
+        for (Xr, code), Xk in zip(ref, X):
+            if code == TRI_OK:
+                assert np.abs(Xk - Xr).max() <= 1e-12 * np.abs(Xr).max()
+
+    def test_empty_batch(self):
+        X, status = triangulate_tracks(
+            np.zeros(0, dtype=int), np.zeros((0, 4)), np.zeros((0, 3, 3)), np.zeros((0, 3)),
+            np.zeros((0, 2)),
+        )
+        assert X.shape == (0, 3) and status.shape == (0,)
 
 
 class TestRelativePose:
@@ -375,21 +446,29 @@ class TestKernelOracles:
     def test_triangulation_angle_matches_loop(self):
         rng = np.random.default_rng(117)
         intr = default_intrinsics()
+
+        def stacked(tracks):  # widest_ray_angle of tracks of equal length at once
+            n = np.array([[intr.normalize(px) for _, _, px in obs] for obs in tracks])
+            R = np.array([[pose.rotation for _, pose, _ in obs] for obs in tracks])
+            return widest_ray_angle(n, R)
+
         for views in (2, 3, 6):
+            tracks = []
             for _ in range(20):
                 X = rng.normal(size=3)
                 poses = [
                     look_at_pose(X + rng.normal(size=3) * 3 + (0, 0, 8), X)
                     for _ in range(views)
                 ]
-                obs = [(intr, p, project(intr, p, X)) for p in poses]
+                tracks.append([(intr, p, project(intr, p, X)) for p in poses])
+            for obs, angle in zip(tracks, stacked(tracks)):
                 expect = _triangulation_angle_loop(obs)
                 assert expect > 1e-3
-                assert abs(triangulation_angle(obs) - expect) < 1e-12
+                assert abs(angle - expect) < 1e-12
         # parallel rays: both report no angle at all
         p = look_at_pose((0, -5, 0), (0, 0, 0))
         obs = [(intr, p, project(intr, p, (0.3, 0.1, 0.2)))] * 3
-        assert triangulation_angle(obs) == _triangulation_angle_loop(obs) == 0.0
+        assert stacked([obs])[0] == _triangulation_angle_loop(obs) == 0.0
 
     def _two_view(self, rng, n, noise=1e-3):
         R = angle_axis_to_matrix(rng.normal(scale=0.3, size=3))

@@ -3,7 +3,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from parsfm.geometry import project
+from parsfm.geometry import CameraIntrinsics, project
 from parsfm.matchgraph import (
     FeatureSet,
     ImageMeta,
@@ -486,7 +486,6 @@ class TestDatasetIO:
             for i in range(2)
         }
         pairs = [MatchPair(0, 1, [(0, 1), (2, 3)])]
-        from parsfm.geometry import CameraIntrinsics
 
         intr = {
             i: CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480) for i in range(2)
@@ -523,6 +522,7 @@ class TestDatasetIO:
             metas={0: ImageMeta(0, 10, 10), 1: ImageMeta(1, 10, 10)},
             features={i: FeatureSet(i, np.ones((8, 3)), np.zeros((8, 0))) for i in (0, 1)},
             pairs=[MatchPair(1, 0, [(5, 7)])],
+            intrinsics={i: CameraIntrinsics(10.0, 10.0, 5.0, 5.0, 10, 10) for i in (0, 1)},
         )
         path = tmp_path / "d.txt"
         write_dataset(path, ds)
@@ -541,12 +541,24 @@ class TestDatasetIO:
             ("MATCH 1 -3 0 0", 8, "MATCH names image -3 with no IMAGE record"),
             ("IMAGE -2 640 480", 8, "negative or duplicate IMAGE id -2"),
             ("IMAGE 1 640 480", 8, "negative or duplicate IMAGE id 1"),
+            ("FEATURE 0 1 2", 8, "unknown record type 'FEATURE'"),
+            ("IMAGE 2 640", 8, "IMAGE record with 2 fields"),
+            ("KEYPOINT 0 1 2", 8, "KEYPOINT record with 3 fields"),
+            ("DESC 0 0", 8, "DESC record with 2 fields"),
+            ("MATCH 0 1 a 0", 8, "non-numeric field in MATCH record"),
+            ("KEYPOINT 0 1 2 1e", 8, "non-numeric field in KEYPOINT record"),
+            ("DESC 1 2 1 0", 8, "DESC keypoint 2 not in image 1"),
+            ("DESC 0 0 1 0\nDESC 0 1 1 0 0", 9, "DESC of dimension 3, not 2"),
+            ("DESC 0 0 1 0", 5, "KEYPOINT 1 of image 0 has no DESC"),
+            ("IMAGE 2 640 480", 2, "IMAGE records with no INTRINSICS record"),
         ],
     )
     def test_bad_record_rejected_with_its_line(self, tmp_path, bad, line, message):
         path = tmp_path / "d.txt"
+        # the missing-INTRINSICS case leaves the shared record out
+        intrinsics = "" if "no INTRINSICS" in message else "INTRINSICS 500 500 320 240"
         path.write_text(
-            "INTRINSICS 500 500 320 240\n"
+            f"{intrinsics}\n"
             "IMAGE 0 640 480\nIMAGE 1 640 480\n"
             "KEYPOINT 0 1 2 1\nKEYPOINT 0 3 4 1\nKEYPOINT 1 1 2 1\nKEYPOINT 1 5 6 1\n"
             f"{bad}\n"
