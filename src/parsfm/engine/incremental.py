@@ -15,29 +15,28 @@ from ..geometry import (
     resect_camera,
     solve_bundle,
 )
-from ..geometry.twoview import TRI_OK, triangulate_tracks, widest_ray_angle
+from ..geometry.twoview import (
+    DEFAULT_MIN_TRI_ANGLE_DEG,
+    TRI_OK,
+    triangulate_tracks,
+    widest_ray_angle,
+)
 from .reconstruction import Reconstruction, keypoint_pixels
 from .tracks import Track, build_tracks
+
+SEED_MIN_ANGLE_DEG = 4.0  # median ray angle a seed pair's matches must reach
+MIN_SEED_MATCHES = 8  # a seed candidate needs an eight-point relative pose
+MIN_RESECTION_CORRS = 15  # visible points before a camera is resected
+GROWTH_RATIO = 1.1  # a global BA runs once the camera count grew this much
+MAX_REPROJECTION_PX = 4.0  # triangulation and pruning bound
+LOCAL_BA_ITERATIONS = 15
+GLOBAL_BA_ITERATIONS = 30
+MAX_SEED_ATTEMPTS = 5
 
 
 @dataclass
 class EngineOptions:
-    min_tri_angle_deg: float = 2.0
-    seed_min_angle_deg: float = 4.0
-    min_resection_corrs: int = 15
-    growth_ratio: float = 1.1
-    ransac_threshold_px: float = 4.0
-    max_reprojection_px: float = 4.0
-    local_ba_iterations: int = 15
-    global_ba_iterations: int = 30
-    max_seed_attempts: int = 5
     rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.growth_ratio <= 1.0:
-            raise ValueError("growth_ratio must be > 1")
-        if self.min_resection_corrs < 6:
-            raise ValueError("resection needs at least 6 correspondences")
 
 
 class SeedFailure(Exception):
@@ -61,44 +60,36 @@ def _median_angle_deg(pose2, intr1, intr2, pixels):
     return float(np.degrees(np.median(widest_ray_angle(n, R))))
 
 
-def select_seed_pair(
-    graph, features, intrinsics, opts: EngineOptions = None, rng=None, exclude=frozenset()
-):
+def select_seed_pair(pairs, features, intrinsics, rng=None, exclude=frozenset()):
     """Pick the initial image pair and its relative pose.
 
-    Candidates are edges ranked by inlier count (descending, ties by pair id);
-    the first whose relative pose gives a median triangulation angle >=
-    seed_min_angle wins. Pairs listed in `exclude` (previously tried seeds)
-    are skipped. When every candidate is degenerate, the best-ranked one with
-    a relative pose is returned anyway. Returns ((a, b), pose of b relative
-    to a); raises SeedFailure when no candidate yields a relative pose.
+    Candidates are the MatchPairs with MIN_SEED_MATCHES or more matches,
+    ranked by match count (descending, ties by pair id); the first whose
+    relative pose gives a median triangulation angle >= SEED_MIN_ANGLE_DEG
+    wins. Pair ids listed in `exclude` (previously tried seeds) are skipped.
+    When every candidate is degenerate, the best-ranked one with a relative
+    pose is returned anyway. Returns ((a, b), pose of b relative to a);
+    raises SeedFailure when no candidate yields a relative pose.
     """
-    opts = opts or EngineOptions()
     rng = np.random.default_rng(rng)
-    if not graph.edges:
-        raise SeedFailure("match graph has no edges")
-    ranked = sorted(graph.edges, key=lambda k: (-graph.pair(*k).inlier_count, k))
-    ranked = [k for k in ranked if tuple(k) not in exclude]
+    ranked = [p for p in pairs if p.inlier_count >= MIN_SEED_MATCHES]
+    if not ranked:
+        raise SeedFailure("no image pair has enough matches to initialize")
+    ranked = sorted(
+        (p for p in ranked if p.key() not in exclude), key=lambda p: (-p.inlier_count, p.key())
+    )
     if not ranked:
         raise SeedFailure("every seed candidate is excluded")
     fallback = None
-    for a, b in ranked:
-        pair = graph.pair(a, b)
-        if pair.inlier_count < 8:
-            continue
+    for pair in ranked:
+        a, b = pair.key()
         pixels = _pair_pixels(pair, features)
         try:
-            pose2, mask = estimate_relative_pose(
-                pixels,
-                intrinsics[a],
-                intrinsics[b],
-                threshold_px=opts.ransac_threshold_px,
-                rng=rng,
-            )
+            pose2, mask = estimate_relative_pose(pixels, intrinsics[a], intrinsics[b], rng=rng)
         except EstimationFailure:
             continue
         angle = _median_angle_deg(pose2, intrinsics[a], intrinsics[b], pixels[mask])
-        if angle >= opts.seed_min_angle_deg:
+        if angle >= SEED_MIN_ANGLE_DEG:
             return (a, b), pose2
         if fallback is None:
             fallback = (a, b), pose2
@@ -119,8 +110,8 @@ class _Builder:
     observations in a full BA.
     """
 
-    def __init__(self, subset, features, pairs, intrinsics, opts, recon_id):
-        self.features, self.intrinsics, self.opts = features, intrinsics, opts
+    def __init__(self, subset, features, pairs, intrinsics, rng_seed, recon_id):
+        self.features, self.intrinsics = features, intrinsics
         members = set(subset)
         self.images = np.array(sorted(members), dtype=np.int64)
         self.pairs = [p for p in pairs if p.image_id_a in members and p.image_id_b in members]
@@ -142,7 +133,7 @@ class _Builder:
         self.seq = np.zeros(len(tracks), dtype=np.int64)
         self.poses = {}  # image_id -> CameraPose
         self.order = []
-        self.rng = np.random.default_rng(opts.rng_seed)
+        self.rng = np.random.default_rng(rng_seed)
         self.recon_id = recon_id
         self.seed_key = None  # set once a seed pair is chosen
 
@@ -179,7 +170,7 @@ class _Builder:
         cam = self.obs_cam[rows]
         X, status = triangulate_tracks(
             count, self.K[cam], self.R[cam], self.t[cam], self.obs_px[rows],
-            self.opts.min_tri_angle_deg, self.opts.max_reprojection_px,
+            DEFAULT_MIN_TRI_ANGLE_DEG, MAX_REPROJECTION_PX,
         )
         new = tid[status == TRI_OK]
         self.X[new] = X[status == TRI_OK]
@@ -203,14 +194,14 @@ class _Builder:
         if len(rows):
             cams = np.unique(self.obs_cam[rows])
             fixed = self.images[cams[cams != cam]].tolist()
-            self._ba(cams, rows, fixed, self.opts.local_ba_iterations)
+            self._ba(cams, rows, fixed, LOCAL_BA_ITERATIONS)
 
     def _full_ba(self):
         """Every registered camera and every point, the observations in the
         order their points were triangulated."""
         rows = self._usable_rows(self.valid)
         rows = rows[np.argsort(self.seq[self.obs_track[rows]], kind="stable")]
-        self._ba(np.flatnonzero(self.registered), rows, (), self.opts.global_ba_iterations)
+        self._ba(np.flatnonzero(self.registered), rows, (), GLOBAL_BA_ITERATIONS)
 
     def _global_ba(self):
         self._full_ba()
@@ -226,29 +217,21 @@ class _Builder:
         world = self.X[self.obs_track[rows], :, None]
         proj, z = pinhole(np.matmul(self.R[cam], world)[..., 0] + self.t[cam], *self.K[cam].T)
         err = np.linalg.norm(proj - self.obs_px[rows], axis=1)
-        self.active[rows[(z <= 0) | (err > self.opts.max_reprojection_px)]] = False
+        self.active[rows[(z <= 0) | (err > MAX_REPROJECTION_PX)]] = False
         tracks = self.obs_track[self._usable_rows(self.valid)]
         self.valid &= np.bincount(tracks, minlength=len(self.valid)) >= 2
 
     # -- main loop -------------------------------------------------------
 
     def initialize(self, exclude=frozenset()):
-        from ..matchgraph import MatchGraph
-
-        g = MatchGraph()
-        for p in self.pairs:
-            if p.inlier_count >= 8:
-                g.add_edge(*p.key(), 0.5, p)
-        if not g.edges:
-            raise SeedFailure("no image pair has enough matches to initialize")
         (a, b), pose2 = select_seed_pair(
-            g, self.features, self.intrinsics, self.opts, rng=self.rng, exclude=exclude
+            self.pairs, self.features, self.intrinsics, rng=self.rng, exclude=exclude
         )
         self.seed_key = (a, b)
         self._set_poses({a: CameraPose.identity(), b: pose2})
         self.order = [a, b]
         self._triangulate(np.ones(len(self.valid), dtype=bool))
-        if self.valid.sum() < self.opts.min_resection_corrs:
+        if self.valid.sum() < MIN_RESECTION_CORRS:
             raise SeedFailure("seed pair yields too few triangulated points")
         self._full_ba()
         self._prune()
@@ -261,7 +244,7 @@ class _Builder:
         while True:
             visible = np.bincount(self.obs_cam[self.valid[self.obs_track]], minlength=n)
             # skip a camera whose visible count has not grown since it failed
-            ready = (visible >= self.opts.min_resection_corrs) & (visible > failed_at)
+            ready = (visible >= MIN_RESECTION_CORRS) & (visible > failed_at)
             ready &= ~self.registered
             if not ready.any():
                 break
@@ -273,7 +256,6 @@ class _Builder:
                 pose, _ = resect_camera(
                     list(zip(self.X[self.obs_track[rows]], self.obs_px[rows])),
                     self.intrinsics[img],
-                    threshold_px=self.opts.ransac_threshold_px,
                     rng=self.rng,
                 )
             except EstimationFailure:
@@ -283,7 +265,7 @@ class _Builder:
             self.order.append(img)
             self._triangulate(self._seen_by(cam) & ~self.valid)
             self._local_ba(cam)
-            if len(self.poses) >= self.opts.growth_ratio * last_global:
+            if len(self.poses) >= GROWTH_RATIO * last_global:
                 self._global_ba()
                 last_global = len(self.poses)
         self._global_ba()
@@ -317,7 +299,7 @@ def incremental_reconstruct(
     A weakly conditioned seed pair can pass the angle gate yet triangulate
     points too loose to resect any further camera, stalling the run, or
     triangulate too few points to start at all; in either case the
-    next-ranked seed pair is tried (up to max_seed_attempts), keeping the
+    next-ranked seed pair is tried (up to MAX_SEED_ATTEMPTS), keeping the
     best result.
 
     Raises SeedFailure when no candidate pair is left or every attempt
@@ -325,11 +307,11 @@ def incremental_reconstruct(
     """
     if not subset:
         raise ValueError("empty image subset")
-    opts = opts or EngineOptions()
+    rng_seed = (opts or EngineOptions()).rng_seed
     tried = set()
     best = failure = None
-    for _ in range(max(1, opts.max_seed_attempts)):
-        builder = _Builder(subset, features, pairs, intrinsics, opts, recon_id)
+    for _ in range(MAX_SEED_ATTEMPTS):
+        builder = _Builder(subset, features, pairs, intrinsics, rng_seed, recon_id)
         try:
             recon = builder.run(exclude=frozenset(tried))
         except SeedFailure as exc:

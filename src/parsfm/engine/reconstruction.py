@@ -10,7 +10,6 @@ import numpy as np
 from ..geometry import (
     BaOptions,
     BaReport,
-    CameraIntrinsics,
     CameraPose,
     matrix_to_quaternion,
     pinhole,
@@ -165,22 +164,35 @@ def write_reconstruction(path, recon: Reconstruction) -> None:
 
 
 def read_reconstruction(path, intrinsics, recon_id: int = 0) -> Reconstruction:
-    """Inverse of write_reconstruction; intrinsics looked up per image id."""
+    """Inverse of write_reconstruction; intrinsics looked up per image id. A
+    malformed record raises ValueError starting with its 'path:line'."""
     recon = Reconstruction(recon_id=recon_id)
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:
                 continue
-            if tok[0] == "CAMERA":
-                img, q = int(tok[1]), np.array([float(v) for v in tok[2:6]])
-                pose = CameraPose(quaternion_to_matrix(q), [float(v) for v in tok[6:9]])
-                recon.cameras[img] = (intrinsics[img], pose)
-                recon.registered_order.append(img)
-            elif tok[0] == "POINT":
-                pid, ids = int(tok[1]), [int(v) for v in tok[6 : 6 + 2 * int(tok[5])]]
-                xyz = np.array([float(v) for v in tok[2:5]])
-                recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
-            else:
-                raise ValueError(f"unknown record {tok[0]!r}")
+            kind, where = tok[0], f"{path}:{lineno}"
+            try:
+                if kind == "POINT" and len(tok) >= 6 and len(tok) == 6 + 2 * int(tok[5]):
+                    pid, ids = int(tok[1]), [int(v) for v in tok[6:]]
+                    xyz = np.array([float(v) for v in tok[2:5]])
+                    recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
+                    continue
+                if kind == "CAMERA" and len(tok) == 9:
+                    img, q = int(tok[1]), np.array([float(v) for v in tok[2:6]])
+                    t = [float(v) for v in tok[6:9]]
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {kind} record") from None
+            if kind not in ("CAMERA", "POINT"):
+                raise ValueError(f"{where}: unknown record type {kind!r}")
+            if kind == "POINT":
+                n = len(tok) - 1
+                raise ValueError(f"{where}: POINT record with {n} fields, not 5 + 2 * n_obs")
+            if len(tok) != 9:
+                raise ValueError(f"{where}: CAMERA record with {len(tok) - 1} fields")
+            if img not in intrinsics:
+                raise ValueError(f"{where}: CAMERA of image {img} with no intrinsics")
+            recon.cameras[img] = (intrinsics[img], CameraPose(quaternion_to_matrix(q), t))
+            recon.registered_order.append(img)
     return recon

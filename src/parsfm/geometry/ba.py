@@ -23,26 +23,22 @@ from .camera import CameraPose, angle_axis_to_matrix, pinhole, project_rotation,
 
 # penalty cost for an observation whose point falls behind the camera
 _BEHIND_PENALTY = 1e12
+# convergence: largest gradient entry, step relative to the parameters, and
+# relative cost decrease per iteration
+GRADIENT_TOLERANCE = 1e-12
+PARAMETER_TOLERANCE = 1e-12
+FUNCTION_TOLERANCE = 1e-8
 
 
 @dataclass
 class BaOptions:
     max_iterations: int = 50
-    gradient_tolerance: float = 1e-12
-    parameter_tolerance: float = 1e-12
-    function_tolerance: float = 1e-8  # relative cost decrease per iteration
     fixed_point_ids: set = field(default_factory=set)
     fixed_camera_ids: set = field(default_factory=set)
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if (
-            self.gradient_tolerance <= 0
-            or self.parameter_tolerance <= 0
-            or self.function_tolerance <= 0
-        ):
-            raise ValueError("tolerances must be positive")
 
 
 @dataclass
@@ -282,7 +278,7 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
     while it < opts.max_iterations:
         it += 1
         ne = prob.normal_equations(r, v, p, valid)
-        if ne.gradient_norm() < opts.gradient_tolerance:
+        if ne.gradient_norm() < GRADIENT_TOLERANCE:
             report.converged = True
             it -= 1
             break
@@ -303,12 +299,12 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
                 )
                 prob.R, prob.t, prob.X = Rn, tn, Xn
                 r, valid, v, p = rn, validn, vn, pn
-                converged_step = step < opts.parameter_tolerance * (pnorm + opts.parameter_tolerance)
+                converged_step = step < PARAMETER_TOLERANCE * (pnorm + PARAMETER_TOLERANCE)
                 cost_drop = cost - costn
                 cost = costn
                 lam = max(lam / 3.0, 1e-12)
                 accepted = True
-                if converged_step or cost_drop <= opts.function_tolerance * cost:
+                if converged_step or cost_drop <= FUNCTION_TOLERANCE * cost:
                     report.converged = True
                 break
             lam = min(lam * 10.0, 1e10)

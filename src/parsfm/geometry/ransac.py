@@ -6,6 +6,8 @@ import numpy as np
 
 # probability that at least one all-inlier sample is drawn
 RANSAC_CONFIDENCE = 0.999
+# inlier bound of the two-view and resection estimators, pixels
+RANSAC_THRESHOLD_PX = 4.0
 
 
 class DegenerateGeometryError(Exception):

@@ -13,7 +13,7 @@ from .camera import (
     project_points,
     project_rotation,
 )
-from .ransac import EstimationFailure, adaptive_ransac
+from .ransac import RANSAC_THRESHOLD_PX, EstimationFailure, adaptive_ransac
 from .twoview import _svd
 
 RESECTION_MAX_ITERATIONS = 500
@@ -129,12 +129,7 @@ def _refine_pose(pose: CameraPose, X, px, intr: CameraIntrinsics) -> CameraPose:
     return CameraPose(R, sol.x[3:])
 
 
-def resect_camera(
-    correspondences,
-    intr: CameraIntrinsics,
-    threshold_px: float = 4.0,
-    rng=None,
-):
+def resect_camera(correspondences, intr: CameraIntrinsics, rng=None):
     """Estimate a camera pose from 3D-point/pixel correspondences.
 
     correspondences: list of (point3, pixel2). Returns (CameraPose, inlier mask).
@@ -150,7 +145,7 @@ def resect_camera(
     def inliers(pose):
         proj, z = project_points(intr, pose, X)
         err = np.hypot(proj[:, 0] - px[:, 0], proj[:, 1] - px[:, 1])
-        return (err < threshold_px) & (z > 0)
+        return (err < RANSAC_THRESHOLD_PX) & (z > 0)
 
     sample_pose, best_mask = adaptive_ransac(
         len(X),

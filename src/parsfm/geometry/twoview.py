@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .camera import CameraIntrinsics, CameraPose, pinhole, project_rotation
-from .ransac import DegenerateGeometryError, EstimationFailure, adaptive_ransac
+from .ransac import RANSAC_THRESHOLD_PX, DegenerateGeometryError, EstimationFailure, adaptive_ransac
 
 DEFAULT_MIN_TRI_ANGLE_DEG = 2.0
 
@@ -150,7 +150,6 @@ def estimate_relative_pose(
     matches,
     intr1: CameraIntrinsics,
     intr2: CameraIntrinsics,
-    threshold_px: float = 4.0,
     max_iterations: int = 1000,
     rng=None,
 ):
@@ -168,7 +167,7 @@ def estimate_relative_pose(
     x2 = intr2.normalize(m[:, 1])
     # Sampson threshold mapped from pixels to normalized coords
     f = 0.25 * (intr1.focal_x + intr1.focal_y + intr2.focal_x + intr2.focal_y)
-    thr = (threshold_px / f) ** 2
+    thr = (RANSAC_THRESHOLD_PX / f) ** 2
 
     best_E, best_mask = adaptive_ransac(
         len(m),

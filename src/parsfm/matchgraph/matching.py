@@ -35,33 +35,23 @@ def mutual_nearest_matches(desc_a: np.ndarray, desc_b: np.ndarray, ratio: float 
     return np.stack([rows[keep], nn_ab[keep]], axis=1)
 
 
-def _verify_pair(job, ratio, threshold_px, rng_seed):
+def _verify_pair(job, rng_seed):
     """The verified MatchPair of one candidate job, or None."""
     a, b, fa, fb, intr_a, intr_b = job
-    m = mutual_nearest_matches(fa.descriptors, fb.descriptors, ratio)
+    m = mutual_nearest_matches(fa.descriptors, fb.descriptors)
     if len(m) < MIN_VERIFY_MATCHES:
         return None
     pix = np.stack([fa.keypoints[m[:, 0], :2], fb.keypoints[m[:, 1], :2]], axis=1)
     # seeded by the pair, so the result does not depend on the process running it
     rng = np.random.default_rng((rng_seed, a, b))
     try:
-        _, inliers = estimate_relative_pose(
-            pix, intr_a, intr_b, threshold_px=threshold_px, max_iterations=5000, rng=rng
-        )
+        _, inliers = estimate_relative_pose(pix, intr_a, intr_b, max_iterations=5000, rng=rng)
     except EstimationFailure:
         return None
     return MatchPair(a, b, m[inliers]) if inliers.sum() >= MIN_VERIFY_MATCHES else None
 
 
-def verify_matches(
-    candidates,
-    features,
-    intrinsics,
-    ratio: float = RATIO_TEST,
-    threshold_px: float = 4.0,
-    rng_seed: int = 0,
-    pool=IN_PROCESS,
-):
+def verify_matches(candidates, features, intrinsics, rng_seed: int = 0, pool=IN_PROCESS):
     """Match descriptors of candidate pairs and keep geometric inliers.
 
     candidates: iterable of (image_id_a, image_id_b); features/intrinsics are
@@ -70,5 +60,5 @@ def verify_matches(
     the pairs on, such as a process pool; by default this process.
     """
     jobs = [(a, b, features[a], features[b], intrinsics[a], intrinsics[b]) for a, b in candidates]
-    verify = partial(_verify_pair, ratio=ratio, threshold_px=threshold_px, rng_seed=rng_seed)
+    verify = partial(_verify_pair, rng_seed=rng_seed)
     return [p for p in pool.map(verify, jobs) if p is not None]

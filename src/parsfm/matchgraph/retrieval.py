@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import FeatureSet
 from .vocab import VocabularyTree
 
 DEFAULT_INDEX_FEATURES = 1500

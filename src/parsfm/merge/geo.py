@@ -6,7 +6,7 @@ a constrained BA); check points are held out and report per-axis residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +21,10 @@ from ..geometry import (
 from .merging import transform_pose
 
 _F = "%.17g"
+# narrowest ray angle a GCP position is triangulated from, degrees
+GCP_MIN_TRI_ANGLE_DEG = 1.0
+# tokens of each record, its name included
+_GCP_TOKENS = {"GCP": 6, "GCPOBS": 5}
 
 
 @dataclass
@@ -50,24 +54,33 @@ def write_gcps(path, gcps) -> None:
 
 
 def read_gcps(path):
+    """Parse a GCP file; a GCPOBS follows the GCP record it names. A
+    malformed record raises ValueError starting with its 'path:line'."""
     gcps = {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:
                 continue
-            if tok[0] == "GCP":
-                gid = int(tok[1])
-                gcps[gid] = GcpRecord(
-                    gid, [float(v) for v in tok[2:5]], [], tok[5]
-                )
-            elif tok[0] == "GCPOBS":
-                gid = int(tok[1])
-                gcps[gid].observations.append(
-                    (int(tok[2]), np.array([float(tok[3]), float(tok[4])]))
-                )
+            kind, where = tok[0], f"{path}:{lineno}"
+            if kind not in _GCP_TOKENS:
+                raise ValueError(f"{where}: unknown record type {kind!r}")
+            if len(tok) != _GCP_TOKENS[kind]:
+                raise ValueError(f"{where}: {kind} record with {len(tok) - 1} fields")
+            try:
+                gid, values = int(tok[1]), [float(v) for v in tok[2:5]]
+                img = int(tok[2]) if kind == "GCPOBS" else None
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {kind} record") from None
+            if kind == "GCP":
+                try:
+                    gcps[gid] = GcpRecord(gid, values, [], tok[5])
+                except ValueError as exc:  # an unknown role
+                    raise ValueError(f"{where}: {exc}") from None
+            elif gid not in gcps:
+                raise ValueError(f"{where}: GCPOBS of GCP {gid} with no GCP record before it")
             else:
-                raise ValueError(f"unknown record {tok[0]!r}")
+                gcps[gid].observations.append((img, np.array(values[1:])))
     return [gcps[g] for g in sorted(gcps)]
 
 
@@ -90,7 +103,7 @@ class GeoReport:
         return "\n".join(rows)
 
 
-def triangulate_gcp(model: Reconstruction, gcp: GcpRecord, min_tri_angle_deg=1.0):
+def triangulate_gcp(model: Reconstruction, gcp: GcpRecord):
     """GCP position in the model frame from its image observations."""
     data = []
     for img, px in gcp.observations:
@@ -100,12 +113,12 @@ def triangulate_gcp(model: Reconstruction, gcp: GcpRecord, min_tri_angle_deg=1.0
     if len(data) < 2:
         return None
     try:
-        return triangulate(data, min_tri_angle_deg)
+        return triangulate(data, GCP_MIN_TRI_ANGLE_DEG)
     except (DegenerateGeometryError, EstimationFailure):
         return None
 
 
-def georeference(model: Reconstruction, gcps, features, ba_opts: BaOptions = None):
+def georeference(model: Reconstruction, gcps, features):
     """Map the model into the survey frame and refine with fixed controls.
 
     Returns (geo-referenced Reconstruction, GeoReport over check points).
@@ -138,8 +151,7 @@ def georeference(model: Reconstruction, gcps, features, ba_opts: BaOptions = Non
     # image observations; negative ids keep them clear of scene points
     anchors = [(-1 - g.gcp_id, g.world.copy(), g.observations) for g in usable]
     fixed = {pid for pid, _, _ in anchors}
-    opts = replace(ba_opts or BaOptions(), fixed_point_ids=fixed, fixed_camera_ids=set())
-    bundle_adjust(geo, features, opts, anchors)
+    bundle_adjust(geo, features, BaOptions(fixed_point_ids=fixed), anchors)
 
     report = GeoReport()
     for g in checks:

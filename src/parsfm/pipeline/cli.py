@@ -1,16 +1,30 @@
-"""Command-line entry points for each pipeline stage."""
+"""Command-line entry points for each pipeline stage.
+
+A flag that sets a field of PipelineConfig, SynthConfig, EngineOptions or
+MergeOptions stores under the field's name and has no default of its own: a
+flag left out is absent from the parsed arguments, so the dataclass supplies
+the default.
+"""
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import PipelineConfig, default_worker_count
+from .config import PipelineConfig
+
+
+def _from_flags(cls, args, **given):
+    """cls from the given keywords and every parsed flag named after a field."""
+    names = {f.name for f in fields(cls)}
+    return cls(**given, **{k: v for k, v in vars(args).items() if k in names})
 
 
 def _add_graph_flags(p):
-    p.add_argument("--min-matches", type=int, default=50)
-    p.add_argument("--r-ew", type=float, default=0.5)
+    p.add_argument("--dataset", required=True, dest="dataset_path")
+    p.add_argument("--min-matches", type=int)
+    p.add_argument("--r-ew", type=float)
 
 
 def _build_parser():
@@ -20,66 +34,65 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
+    def command(name, help):
+        return sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+
+    p = command("synth", "generate a synthetic dataset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--ground-truth", required=True)
     p.add_argument("--gcps", default=None)
-    p.add_argument("--images", type=int, default=40)
-    p.add_argument("--pattern", choices=["nadir", "oblique", "orbit"], default="nadir")
-    p.add_argument("--extent", type=float, default=100.0)
-    p.add_argument("--buildings", type=int, default=8)
-    p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--outlier-rate", type=float, default=0.0)
-    p.add_argument("--gcp-count", type=int, default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--descriptors", action="store_true",
+    p.add_argument("--images", type=int, dest="image_count")
+    p.add_argument("--pattern", choices=["nadir", "oblique", "orbit"])
+    p.add_argument("--extent", type=float, dest="grid_extent")
+    p.add_argument("--buildings", type=int, dest="building_count")
+    p.add_argument("--points", type=int, dest="point_count")
+    p.add_argument("--noise", type=float, dest="pixel_noise")
+    p.add_argument("--outlier-rate", type=float)
+    p.add_argument("--gcp-count", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--descriptors", action="store_true", dest="emit_descriptors",
                    help="emit per-feature descriptors as well as matches")
 
-    p = sub.add_parser("graph", help="build the weighted match graph")
-    p.add_argument("--dataset", required=True)
+    p = command("graph", "build the weighted match graph")
     p.add_argument("--output", required=True)
     _add_graph_flags(p)
 
-    p = sub.add_parser("wcds", help="extract the dominating-set skeleton")
-    p.add_argument("--dataset", required=True)
+    p = command("wcds", "extract the dominating-set skeleton")
     p.add_argument("--output", required=True)
-    p.add_argument("--r-vw", type=float, default=0.5)
+    p.add_argument("--r-vw", type=float)
     _add_graph_flags(p)
 
-    p = sub.add_parser("cluster", help="partition the graph into clusters")
-    p.add_argument("--dataset", required=True)
+    p = command("cluster", "partition the graph into clusters")
     p.add_argument("--output", required=True)
-    p.add_argument("--max-size", type=int, default=100)
+    p.add_argument("--max-size", type=int, dest="cluster_max_size")
     _add_graph_flags(p)
 
-    p = sub.add_parser("reconstruct", help="incremental reconstruction of a subset")
+    p = command("reconstruct", "incremental reconstruction of a subset")
     p.add_argument("--dataset", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--subset", default=None,
                    help="comma-separated image ids (default: all)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, dest="rng_seed")
 
-    p = sub.add_parser("merge", help="merge cluster reconstructions")
+    p = command("merge", "merge cluster reconstructions")
     p.add_argument("--dataset", required=True)
     p.add_argument("--global-model", required=True)
     p.add_argument("--clusters", nargs="+", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--threshold", type=float, default=1.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threshold", type=float, dest="threshold_px")
+    p.add_argument("--seed", type=int, dest="rng_seed")
 
-    p = sub.add_parser("pipeline", help="run the full parallel pipeline")
-    p.add_argument("--dataset", required=True)
+    p = command("pipeline", "run the full parallel pipeline")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--workers", type=int, default=None,
+    p.add_argument("--workers", type=int, dest="worker_count",
                    help="worker processes (default: PARSFM_WORKERS or 1)")
-    p.add_argument("--r-vw", type=float, default=0.5)
-    p.add_argument("--cluster-max-size", type=int, default=100)
-    p.add_argument("--merge-threshold", type=float, default=1.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--r-vw", type=float)
+    p.add_argument("--cluster-max-size", type=int)
+    p.add_argument("--merge-threshold", type=float, dest="merge_threshold_px")
+    p.add_argument("--seed", type=int, dest="rng_seed")
     _add_graph_flags(p)
 
-    p = sub.add_parser("eval", help="compare a reconstruction to ground truth")
+    p = command("eval", "compare a reconstruction to ground truth")
     p.add_argument("--dataset", required=True)
     p.add_argument("--recon", required=True)
     p.add_argument("--ground-truth", required=True)
@@ -92,18 +105,7 @@ def main(argv=None):
     if args.command == "synth":
         from .synth import SynthConfig, write_synthetic
 
-        cfg = SynthConfig(
-            image_count=args.images,
-            pattern=args.pattern,
-            grid_extent=args.extent,
-            building_count=args.buildings,
-            point_count=args.points,
-            pixel_noise=args.noise,
-            outlier_rate=args.outlier_rate,
-            gcp_count=args.gcp_count,
-            seed=args.seed,
-            emit_descriptors=args.descriptors,
-        )
+        cfg = _from_flags(SynthConfig, args)
         write_synthetic(cfg, args.dataset, args.ground_truth, args.gcps)
         print(f"wrote {args.dataset} ({cfg.image_count} images)")
         return 0
@@ -113,20 +115,14 @@ def main(argv=None):
         from ..matchgraph.dataset import read_dataset
         from .run import build_graph, write_clusters, write_graph, write_wcds
 
-        config = PipelineConfig(
-            min_matches=args.min_matches,
-            r_ew=args.r_ew,
-            dataset_path=args.dataset,
-            output_dir="",
-        )
-        dataset = read_dataset(args.dataset)
-        _, graph = build_graph(dataset, config)
+        config = _from_flags(PipelineConfig, args, output_dir="")
+        _, graph = build_graph(read_dataset(config.dataset_path), config)
         if args.command == "graph":
             write_graph(args.output, graph)
         elif args.command == "wcds":
-            write_wcds(args.output, extract_wcds(graph, args.r_vw))
+            write_wcds(args.output, extract_wcds(graph, config.r_vw))
         else:
-            write_clusters(args.output, normalized_cut(graph, args.max_size))
+            write_clusters(args.output, normalized_cut(graph, config.cluster_max_size))
         print(f"wrote {args.output}")
         return 0
 
@@ -146,7 +142,7 @@ def main(argv=None):
             dataset.features,
             dataset.pairs,
             dataset.intrinsics,
-            EngineOptions(rng_seed=args.seed),
+            _from_flags(EngineOptions, args),
         )
         write_reconstruction(args.output, recon)
         print(f"registered {recon.num_cameras()}/{len(subset)} images, "
@@ -169,7 +165,7 @@ def main(argv=None):
             clusters,
             dataset.features,
             dataset.pairs,
-            MergeOptions(threshold_px=args.threshold, rng_seed=args.seed),
+            _from_flags(MergeOptions, args),
         )
         write_reconstruction(args.output, merged)
         print(report.summary())
@@ -178,18 +174,7 @@ def main(argv=None):
     if args.command == "pipeline":
         from .run import run_pipeline
 
-        config = PipelineConfig(
-            min_matches=args.min_matches,
-            r_ew=args.r_ew,
-            r_vw=args.r_vw,
-            cluster_max_size=args.cluster_max_size,
-            merge_threshold_px=args.merge_threshold,
-            worker_count=args.workers if args.workers else default_worker_count(),
-            rng_seed=args.seed,
-            dataset_path=args.dataset,
-            output_dir=args.output_dir,
-        )
-        _, metrics, report = run_pipeline(config)
+        _, metrics, report = run_pipeline(_from_flags(PipelineConfig, args))
         print(metrics.summary())
         print(report.summary())
         return 0

@@ -26,6 +26,9 @@ from .config import PipelineConfig
 from .evaluate import EvalMetrics
 
 _F = "%.17g"
+# vocabulary tree of the retrieval stage: 8**3 = 512 words
+VOCAB_BRANCHING = 8
+VOCAB_DEPTH = 3
 
 
 class PipelineError(RuntimeError):
@@ -50,12 +53,8 @@ def build_graph(dataset, config: PipelineConfig):
         all_desc = np.vstack(
             [dataset.features[i].descriptors for i in sorted(dataset.features)]
         )
-        vocab = build_vocabulary(
-            all_desc, config.vocab_branching, config.vocab_depth, config.rng_seed
-        )
-        candidates = retrieve_pairs(
-            dataset.features, vocab, config.index_features, config.top_k
-        )
+        vocab = build_vocabulary(all_desc, VOCAB_BRANCHING, VOCAB_DEPTH, config.rng_seed)
+        candidates = retrieve_pairs(dataset.features, vocab, top_k=config.top_k)
         # shut down before the reconstruction pool starts, to keep peak memory low
         with _worker_pool(config.worker_count) as pool:
             pairs = verify_matches(candidates, dataset.features, dataset.intrinsics,

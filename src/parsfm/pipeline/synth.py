@@ -20,6 +20,12 @@ from ..matchgraph.dataset import Dataset, write_dataset
 from ..merge import GcpRecord, write_gcps
 
 _F = "%.17g"
+FLYING_HEIGHT = 80.0  # meters above the ground patch
+RIG_PITCH_DEG = 45.0  # outward pitch of the four oblique views of a rig
+IMAGE_WIDTH, IMAGE_HEIGHT = 1200, 900  # pixels
+FOCAL_PX = 1100.0
+DESCRIPTOR_DIM = 16
+MIN_SHARED_POINTS = 15  # co-visible points an image pair needs to be matched
 
 
 @dataclass
@@ -33,14 +39,7 @@ class SynthConfig:
     outlier_rate: float = 0.0
     gcp_count: int = 0
     seed: int = 0
-    descriptor_dim: int = 16
     emit_descriptors: bool = False
-    flying_height: float = 80.0
-    rig_pitch_deg: float = 45.0
-    image_width: int = 1200
-    image_height: int = 900
-    focal_px: float = 1100.0
-    min_shared_points: int = 15
     # keep the match graph sparse, like real aerial blocks: images pair up
     # only with nearby stations, and very dense overlaps are subsampled
     max_pair_distance: float = None  # meters between camera centers
@@ -128,7 +127,7 @@ def _serpentine_positions(n, extent, height):
 
 def _camera_poses(cfg: SynthConfig):
     n = cfg.image_count
-    h = cfg.flying_height
+    h = FLYING_HEIGHT
     if cfg.pattern == "nadir":
         return [
             _look_at(p, p - np.array([0.0, 0.0, h]))
@@ -146,7 +145,7 @@ def _camera_poses(cfg: SynthConfig):
     stations = _serpentine_positions(
         int(np.ceil(n / 5)), cfg.grid_extent, h
     )
-    reach = h * np.tan(np.deg2rad(cfg.rig_pitch_deg))
+    reach = h * np.tan(np.deg2rad(RIG_PITCH_DEG))
     offsets = [
         np.zeros(3),
         np.array([reach, 0.0, 0.0]),
@@ -174,14 +173,9 @@ def generate_synthetic(cfg: SynthConfig):
     points = _scene_points(cfg, rng)
     poses = _camera_poses(cfg)
     intr = CameraIntrinsics(
-        cfg.focal_px,
-        cfg.focal_px,
-        cfg.image_width / 2.0,
-        cfg.image_height / 2.0,
-        cfg.image_width,
-        cfg.image_height,
+        FOCAL_PX, FOCAL_PX, IMAGE_WIDTH / 2.0, IMAGE_HEIGHT / 2.0, IMAGE_WIDTH, IMAGE_HEIGHT
     )
-    desc_world = rng.normal(size=(len(points), cfg.descriptor_dim))
+    desc_world = rng.normal(size=(len(points), DESCRIPTOR_DIM))
     desc_world /= np.linalg.norm(desc_world, axis=1, keepdims=True)
 
     dataset = Dataset()
@@ -192,9 +186,9 @@ def generate_synthetic(cfg: SynthConfig):
         vis = (
             (z > 1.0)
             & (uv[:, 0] >= 0)
-            & (uv[:, 0] < cfg.image_width)
+            & (uv[:, 0] < IMAGE_WIDTH)
             & (uv[:, 1] >= 0)
-            & (uv[:, 1] < cfg.image_height)
+            & (uv[:, 1] < IMAGE_HEIGHT)
         )
         ids = np.nonzero(vis)[0]
         px = uv[ids]
@@ -203,11 +197,11 @@ def generate_synthetic(cfg: SynthConfig):
         scales = rng.uniform(1.0, 4.0, len(ids))
         kp = np.column_stack([px, scales])
         if cfg.emit_descriptors:
-            desc = desc_world[ids] + rng.normal(0.0, 0.02, (len(ids), cfg.descriptor_dim))
+            desc = desc_world[ids] + rng.normal(0.0, 0.02, (len(ids), DESCRIPTOR_DIM))
             desc /= np.linalg.norm(desc, axis=1, keepdims=True)
         else:
             desc = np.zeros((len(ids), 0))
-        dataset.metas[img] = ImageMeta(img, cfg.image_width, cfg.image_height)
+        dataset.metas[img] = ImageMeta(img, IMAGE_WIDTH, IMAGE_HEIGHT)
         dataset.features[img] = FeatureSet(img, kp, desc)
         dataset.intrinsics[img] = intr
         visibility[img] = {int(p): k for k, p in enumerate(ids)}
@@ -222,7 +216,7 @@ def generate_synthetic(cfg: SynthConfig):
             ):
                 continue
             shared = sorted(set(visibility[a]) & set(visibility[b]))
-            if len(shared) < cfg.min_shared_points:
+            if len(shared) < MIN_SHARED_POINTS:
                 continue
             if len(shared) > cfg.max_matches_per_pair:
                 keep = rng.choice(
@@ -258,7 +252,7 @@ def generate_synthetic(cfg: SynthConfig):
                 if z[0] <= 1.0:
                     continue
                 u, v = uv[0]
-                if 0 <= u < cfg.image_width and 0 <= v < cfg.image_height:
+                if 0 <= u < IMAGE_WIDTH and 0 <= v < IMAGE_HEIGHT:
                     px = uv[0]
                     if cfg.pixel_noise:
                         px = px + rng.normal(0.0, cfg.pixel_noise, 2)

@@ -331,5 +331,3 @@ class TestBaOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             BaOptions(max_iterations=0)
-        with pytest.raises(ValueError):
-            BaOptions(gradient_tolerance=0.0)

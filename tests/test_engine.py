@@ -14,9 +14,15 @@ from parsfm.engine import (
     validate_reconstruction,
     write_reconstruction,
 )
-from parsfm.engine.incremental import SeedFailure, _median_angle_deg, _pair_pixels
-from parsfm.geometry import BehindCameraError, CameraPose, project, umeyama_similarity
-from parsfm.matchgraph import FeatureSet, MatchGraph, MatchPair
+import parsfm.engine.incremental as incremental
+from parsfm.engine.incremental import (
+    SEED_MIN_ANGLE_DEG,
+    SeedFailure,
+    _median_angle_deg,
+    _pair_pixels,
+)
+from parsfm.geometry import BehindCameraError, project, umeyama_similarity
+from parsfm.matchgraph import FeatureSet, MatchPair
 
 from helpers import default_intrinsics, look_at_pose, make_scene
 
@@ -100,30 +106,23 @@ class TestBuildTracks:
             assert len(set(images)) == len(images)
 
 
-def pair_graph(pairs):
-    g = MatchGraph()
-    for p in pairs:
-        g.add_edge(*p.key(), 0.5, p)
-    return g
-
-
-def seed_angle_deg(g, pair, pose, features, intrinsics):
+def seed_angle_deg(pairs, key, pose, features, intrinsics):
     """Median ray angle of the seed pair's matches under its returned pose."""
-    a, b = pair
-    pixels = _pair_pixels(g.pair(a, b), features)
+    a, b = key
+    pixels = _pair_pixels(next(p for p in pairs if p.key() == key), features)
     return _median_angle_deg(pose, intrinsics[a], intrinsics[b], pixels)
 
 
 class TestSeedSelection:
     def test_single_edge(self):
         scene = make_scene(n_cams=2, n_pts=40, ring_k=1)
-        g = pair_graph(scene["pairs"])
+        pairs = scene["pairs"]
         (a, b), pose = select_seed_pair(
-            g, scene["features"], scene["intrinsics"], rng=0
+            pairs, scene["features"], scene["intrinsics"], rng=0
         )
         assert (a, b) == (0, 1)
-        angle = seed_angle_deg(g, (a, b), pose, scene["features"], scene["intrinsics"])
-        assert angle >= EngineOptions().seed_min_angle_deg
+        angle = seed_angle_deg(pairs, (a, b), pose, scene["features"], scene["intrinsics"])
+        assert angle >= SEED_MIN_ANGLE_DEG
 
     def test_prefers_wide_baseline_over_near_rotation(self):
         rng = np.random.default_rng(2)
@@ -143,16 +142,14 @@ class TestSeedSelection:
             features[img] = FeatureSet(img, kp, np.zeros((len(pts), 2)))
             intrinsics[img] = intr
         all_idx = np.stack([np.arange(60), np.arange(60)], axis=1)
-        g = pair_graph(
-            [
-                MatchPair(0, 1, all_idx),  # more inliers, ranked first
-                MatchPair(2, 3, all_idx[:50]),
-            ]
-        )
-        (a, b), pose = select_seed_pair(g, features, intrinsics, rng=0)
+        pairs = [
+            MatchPair(0, 1, all_idx),  # more inliers, ranked first
+            MatchPair(2, 3, all_idx[:50]),
+        ]
+        (a, b), pose = select_seed_pair(pairs, features, intrinsics, rng=0)
         assert (a, b) == (2, 3)
-        angle = seed_angle_deg(g, (a, b), pose, features, intrinsics)
-        assert angle >= EngineOptions().seed_min_angle_deg
+        angle = seed_angle_deg(pairs, (a, b), pose, features, intrinsics)
+        assert angle >= SEED_MIN_ANGLE_DEG
 
     def test_all_degenerate_falls_back(self):
         rng = np.random.default_rng(3)
@@ -166,17 +163,17 @@ class TestSeedSelection:
             kp = np.hstack([px, np.ones((len(pts), 1))])
             features[img] = FeatureSet(img, kp, np.zeros((len(pts), 2)))
         idx = np.stack([np.arange(40), np.arange(40)], axis=1)
-        g = pair_graph([MatchPair(0, 1, idx)])
+        pairs = [MatchPair(0, 1, idx)]
         intrinsics = {0: intr, 1: intr}
-        pair, pose = select_seed_pair(g, features, intrinsics, rng=0)
+        pair, pose = select_seed_pair(pairs, features, intrinsics, rng=0)
         assert pair == (0, 1)
         # the gate failed, and the pose returned is the one it was checked on
-        angle = seed_angle_deg(g, pair, pose, features, intrinsics)
-        assert angle < EngineOptions().seed_min_angle_deg
+        angle = seed_angle_deg(pairs, pair, pose, features, intrinsics)
+        assert angle < SEED_MIN_ANGLE_DEG
 
     def test_empty_graph_raises(self):
         with pytest.raises(SeedFailure):
-            select_seed_pair(MatchGraph(), {}, {})
+            select_seed_pair([], {}, {})
 
 
 def align_to_ground_truth(recon, gt_poses):
@@ -332,17 +329,17 @@ class TestIncrementalReconstruct:
         ]
         return [0, 1, 2, 3], features, pairs, intrinsics
 
-    def test_failed_seed_pair_falls_through_to_next(self):
+    def test_failed_seed_pair_falls_through_to_next(self, monkeypatch):
         # the best-ranked pair (0, 1) passes the angle gate on its nearby
         # points, the median match, but its points at infinity do not
-        # triangulate: 14 points are fewer than min_resection_corrs
+        # triangulate: 14 points are fewer than MIN_RESECTION_CORRS
         images, features, pairs, intrinsics = self._far_points_scene()
         args = (images, {}, features, pairs, intrinsics)
         for seed in (0, 1, 7):  # whatever the RANSAC draws
-            with pytest.raises(SeedFailure, match="too few triangulated"):
-                incremental_reconstruct(
-                    *args, EngineOptions(rng_seed=seed, max_seed_attempts=1)
-                )
+            with monkeypatch.context() as m:
+                m.setattr(incremental, "MAX_SEED_ATTEMPTS", 1)
+                with pytest.raises(SeedFailure, match="too few triangulated"):
+                    incremental_reconstruct(*args, EngineOptions(rng_seed=seed))
             recon = incremental_reconstruct(*args, EngineOptions(rng_seed=seed))
             assert set(recon.cameras) == set(images)
             assert recon.registered_order[:2] == [0, 2]
@@ -352,8 +349,6 @@ class TestIncrementalReconstruct:
         # run_pipeline reconstructs this subset with engine seed 15838; a
         # second estimate of the seed pair's pose used to come out wrong and
         # triangulate too few points, so the run fell through to another pair
-        import parsfm.engine.incremental as incremental
-
         calls = []
         real = incremental.estimate_relative_pose
 
@@ -369,13 +364,13 @@ class TestIncrementalReconstruct:
         assert set(recon.cameras) == set(subset)
         validate_reconstruction(recon, ds.features)
 
-    def test_every_seed_attempt_failing_raises(self):
+    def test_every_seed_attempt_failing_raises(self, monkeypatch):
         scene = make_scene(n_cams=3, n_pts=30, seed=6)
-        opts = EngineOptions(min_resection_corrs=1000)
+        monkeypatch.setattr(incremental, "MIN_RESECTION_CORRS", 1000)
         with pytest.raises(SeedFailure, match="too few triangulated"):
             incremental_reconstruct(
                 scene["images"], {}, scene["features"], scene["pairs"],
-                scene["intrinsics"], opts,
+                scene["intrinsics"],
             )
 
 
@@ -393,6 +388,27 @@ def reprojection_reference(recon, features):
                 return np.inf
             errors.append(np.linalg.norm(px - features[img].keypoints[kp, :2]))
     return float(np.mean(errors)) if errors else 0.0
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("FRAME 0 1 0 0 0 0 0 0", "unknown record type 'FRAME'"),
+        ("POINT 0 1 2", "POINT record with 3 fields, not 5 + 2 * n_obs"),
+        ("POINT 0 1 2 3 3 0 5 1 6", "POINT record with 9 fields, not 5 + 2 * n_obs"),
+        ("CAMERA 0 1 0 0 0 0 0", "CAMERA record with 7 fields"),
+        ("POINT 0 1 2 x 2 0 5 1 6", "non-numeric field in POINT record"),
+        ("POINT 0 1 2 3 two 0 5 1 6", "non-numeric field in POINT record"),
+        ("CAMERA 0 1 0 0 0 0 0 zero", "non-numeric field in CAMERA record"),
+        ("CAMERA 7 1 0 0 0 0 0 0", "CAMERA of image 7 with no intrinsics"),
+    ],
+)
+def test_malformed_model_record_names_its_line(tmp_path, record, message):
+    path = tmp_path / "model.txt"
+    path.write_text(f"CAMERA 0 1 0 0 0 0 0 0\n\n{record}\nPOINT 1 0 0 5 2 0 1 1 1\n")
+    with pytest.raises(ValueError) as err:
+        read_reconstruction(path, {0: default_intrinsics(), 1: default_intrinsics()})
+    assert str(err.value) == f"{path}:3: {message}"
 
 
 class TestMeanReprojectionError:

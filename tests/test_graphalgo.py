@@ -3,12 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from parsfm.graphalgo import (
-    Clustering,
-    connected_components,
-    extract_wcds,
-    normalized_cut,
-)
+from parsfm.graphalgo import connected_components, extract_wcds, normalized_cut
 from parsfm.graphalgo.ncut import _best_bisection
 from parsfm.matchgraph import MatchGraph
 

@@ -28,7 +28,6 @@ from parsfm.merge import (
 )
 from parsfm.merge import merging
 from parsfm.merge.correspond import feature_keys
-from parsfm.merge.merging import MergeOptions
 
 from helpers import common_points_reference, make_scene, random_rotation
 
@@ -564,3 +563,23 @@ class TestGeoreference:
             for (i0, p0), (i1, p1) in zip(g0.observations, g1.observations):
                 assert i0 == i1
                 assert np.array_equal(np.asarray(p0, dtype=float), p1)
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ("SURVEY 1 0 0 0", "unknown record type 'SURVEY'"),
+        ("GCP 1 0 0", "GCP record with 3 fields"),
+        ("GCPOBS 0 1 2", "GCPOBS record with 3 fields"),
+        ("GCP 1 0 north 0 control", "non-numeric field in GCP record"),
+        ("GCPOBS 0 1 2 y", "non-numeric field in GCPOBS record"),
+        ("GCPOBS 5 1 2 3", "GCPOBS of GCP 5 with no GCP record before it"),
+        ("GCP 1 0 0 0 survey", "unknown GCP role 'survey'"),
+    ],
+)
+def test_malformed_gcp_record_names_its_line(tmp_path, record, message):
+    path = tmp_path / "gcps.txt"
+    path.write_text(f"GCP 0 1 2 3 control\n\n{record}\nGCPOBS 0 1 2 3\n")
+    with pytest.raises(ValueError) as err:
+        read_gcps(path)
+    assert str(err.value) == f"{path}:3: {message}"

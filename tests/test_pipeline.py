@@ -1,14 +1,16 @@
 import ctypes
 import filecmp
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from parsfm.engine import Reconstruction
+import parsfm.engine as engine_pkg
+import parsfm.merge as merge_pkg
+from parsfm.engine import EngineOptions, Reconstruction, write_reconstruction
 from parsfm.geometry import SimilarityTransform, project
 from parsfm.pipeline import (
-    EvalMetrics,
     PipelineConfig,
     PipelineError,
     SynthConfig,
@@ -20,9 +22,11 @@ from parsfm.pipeline import (
     write_synthetic,
 )
 from parsfm.matchgraph.dataset import write_dataset
+from parsfm.matchgraph.retrieval import DEFAULT_INDEX_FEATURES
 from parsfm.pipeline import run as run_mod
+from parsfm.pipeline import synth as synth_mod
 from parsfm.pipeline.cli import main as cli_main
-from parsfm.merge import transform_pose
+from parsfm.merge import MergeOptions, transform_pose
 
 from helpers import random_rotation
 
@@ -33,7 +37,7 @@ class TestConfig:
         assert cfg.r_ew == 0.5
         assert cfg.r_vw == 0.5
         assert cfg.min_matches == 50
-        assert cfg.index_features == 1500
+        assert DEFAULT_INDEX_FEATURES == 1500
         assert cfg.top_k == 100
         assert cfg.merge_threshold_px == 1.8
 
@@ -425,3 +429,88 @@ class TestCli:
         ]) == 0
         assert wcds.read_text().startswith("WCDS")
         assert clusters.read_text().startswith("CLUSTER")
+
+
+class _Built(Exception):
+    """Stops a CLI command where it hands its options to the library."""
+
+
+class TestCliDefaults:
+    """A flag left out is left to the library's dataclass default."""
+
+    # command: (module, function the command calls, argument holding the options)
+    CALLS = {
+        "pipeline": (run_mod, "run_pipeline", 0),
+        "synth": (synth_mod, "write_synthetic", 0),
+        "merge": (merge_pkg, "merge_all", 4),
+        "reconstruct": (engine_pkg, "incremental_reconstruct", 5),
+    }
+
+    @pytest.fixture
+    def required(self, tmp_path, monkeypatch):
+        """command -> its required flags, on a small dataset and an empty model."""
+        monkeypatch.delenv("PARSFM_WORKERS", raising=False)
+        ds, model, out = tmp_path / "ds.txt", tmp_path / "model.txt", tmp_path / "out"
+        write_dataset(ds, generate_synthetic(SynthConfig(image_count=2, point_count=50))[0])
+        write_reconstruction(model, Reconstruction())
+        return {
+            "pipeline": ["--dataset", str(ds), "--output-dir", str(out)],
+            "synth": ["--dataset", str(ds), "--ground-truth", str(tmp_path / "gt.txt")],
+            "merge": ["--dataset", str(ds), "--global-model", str(model),
+                      "--clusters", str(model), "--output", str(out)],
+            "reconstruct": ["--dataset", str(ds), "--output", str(out)],
+        }
+
+    def _built(self, monkeypatch, command, flags):
+        module, name, slot = self.CALLS[command]
+
+        def stop(*args, **kwargs):
+            raise _Built(args[slot])
+
+        monkeypatch.setattr(module, name, stop)
+        with pytest.raises(_Built) as built:
+            cli_main([command, *flags])
+        return built.value.args[0]
+
+    @pytest.mark.parametrize("command", list(CALLS))
+    def test_required_flags_only_give_the_library_defaults(self, monkeypatch, required, command):
+        built = self._built(monkeypatch, command, required[command])
+        defaults = {"synth": SynthConfig, "merge": MergeOptions, "reconstruct": EngineOptions}
+        if command == "pipeline":
+            _, dataset, _, output_dir = required[command]
+            assert built == PipelineConfig(dataset_path=dataset, output_dir=output_dir)
+        else:
+            assert built == defaults[command]()
+
+    @pytest.mark.parametrize(
+        "command, flag, field",
+        [
+            ("pipeline", ["--workers", "2"], "worker_count"),
+            ("pipeline", ["--r-ew", "0.25"], "r_ew"),
+            ("pipeline", ["--r-vw", "0.75"], "r_vw"),
+            ("pipeline", ["--min-matches", "20"], "min_matches"),
+            ("pipeline", ["--cluster-max-size", "7"], "cluster_max_size"),
+            ("pipeline", ["--merge-threshold", "2.5"], "merge_threshold_px"),
+            ("pipeline", ["--seed", "3"], "rng_seed"),
+            ("synth", ["--images", "7"], "image_count"),
+            ("synth", ["--pattern", "orbit"], "pattern"),
+            ("synth", ["--extent", "50"], "grid_extent"),
+            ("synth", ["--buildings", "2"], "building_count"),
+            ("synth", ["--points", "300"], "point_count"),
+            ("synth", ["--noise", "0.5"], "pixel_noise"),
+            ("synth", ["--outlier-rate", "0.1"], "outlier_rate"),
+            ("synth", ["--gcp-count", "4"], "gcp_count"),
+            ("synth", ["--seed", "3"], "seed"),
+            ("synth", ["--descriptors"], "emit_descriptors"),
+            ("merge", ["--threshold", "2.5"], "threshold_px"),
+            ("merge", ["--seed", "3"], "rng_seed"),
+            ("reconstruct", ["--seed", "3"], "rng_seed"),
+        ],
+    )
+    def test_one_flag_changes_one_field(self, monkeypatch, required, command, flag, field):
+        base = self._built(monkeypatch, command, required[command])
+        given = self._built(monkeypatch, command, required[command] + flag)
+        changed = {
+            f.name for f in fields(base) if getattr(base, f.name) != getattr(given, f.name)
+        }
+        assert changed == {field}
