@@ -38,14 +38,6 @@ class SimilarityTransform:
             1.0 / self.scale, Rinv, -Rinv @ self.translation / self.scale
         )
 
-    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
-        """self after other: (self ∘ other)(x) = self(other(x))."""
-        return SimilarityTransform(
-            self.scale * other.scale,
-            self.rotation @ other.rotation,
-            self.scale * self.rotation @ other.translation + self.translation,
-        )
-
 
 def umeyama_similarity(src, dst):
     """Least-squares similarity aligning src onto dst.

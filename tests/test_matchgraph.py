@@ -17,9 +17,10 @@ from parsfm.matchgraph import (
 )
 from parsfm.matchgraph.dataset import Dataset, read_dataset, write_dataset
 from parsfm.matchgraph.matching import mutual_nearest_matches
+from parsfm.matchgraph.retrieval import _rank_pairs
 from parsfm.pipeline import SynthConfig, generate_synthetic
 
-from helpers import default_intrinsics, look_at_pose
+from helpers import default_intrinsics, look_at_pose, quantize_reference
 
 
 def brute_force_hull_area(points):
@@ -185,15 +186,15 @@ class TestBuildMatchGraph:
     def test_threshold_boundary_inclusive_at_50(self):
         metas, feats, pairs = self._chain([49, 50, 120])
         g = build_match_graph(pairs, metas, feats)
-        assert g.num_edges() == 2
-        assert not g.has_edge(0, 1)
-        assert g.has_edge(1, 2) and g.has_edge(2, 3)
+        assert len(g.edges) == 2
+        assert (0, 1) not in g.edges
+        assert (1, 2) in g.edges and (2, 3) in g.edges
 
     def test_empty_pairs(self):
         metas, feats, _ = self._chain([])
         g = build_match_graph([], metas, feats)
-        assert g.num_vertices() == 1
-        assert g.num_edges() == 0
+        assert len(g.vertices) == 1
+        assert len(g.edges) == 0
 
     def test_chain_weights_match_independent_recomputation(self):
         metas, feats, pairs = self._chain([60, 80, 100, 120])
@@ -253,13 +254,70 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             build_vocabulary(np.zeros((3, 4)), branching=2, depth=2)
 
+    def test_quantize_equals_per_descriptor_walk(self):
+        rng = np.random.default_rng(44)
+        for _ in range(30):
+            b, depth, dim = int(rng.integers(2, 6)), int(rng.integers(1, 4)), int(rng.integers(1, 17))
+            samples = rng.normal(size=(int(rng.integers(b**depth, 3 * b**depth + 20)), dim))
+            tree = build_vocabulary(samples, b, depth, rng_seed=int(rng.integers(100)))
+            queries = np.vstack([samples, rng.normal(scale=2.0, size=(200, dim))])
+            assert np.array_equal(tree.quantize(queries), quantize_reference(tree, queries))
+
+    def test_quantize_ties_at_duplicated_centers(self):
+        # 3 distinct rows for 8 branches: _split repeats centers, and integer
+        # queries sit at equal distances from distinct centers too
+        rng = np.random.default_rng(46)
+        base = rng.integers(0, 3, size=(3, 4)).astype(float)
+        samples = base[rng.integers(0, 3, size=600)]
+        tree = build_vocabulary(samples, 8, 2, rng_seed=3)
+        assert len(np.unique(tree.root.centers, axis=0)) < 8
+        queries = rng.integers(-1, 4, size=(500, 4)).astype(float)
+        words = tree.quantize(queries)
+        assert np.array_equal(words, quantize_reference(tree, queries))
+        assert np.array_equal(tree.quantize(samples), quantize_reference(tree, samples))
+
+    def test_quantize_depth_zero_and_empty_input(self):
+        rng = np.random.default_rng(48)
+        desc = rng.normal(size=(7, 5))
+        flat = build_vocabulary(desc, 4, 0)
+        assert np.array_equal(flat.quantize(desc), quantize_reference(flat, desc))
+        tree = build_vocabulary(desc, 2, 2, rng_seed=1)
+        for t in (flat, tree):
+            words = t.quantize(np.zeros((0, 5)))
+            assert words.shape == (0,)
+            assert np.array_equal(words, quantize_reference(t, np.zeros((0, 5))))
+
 
 def _random_unit(rng, n, d=16):
     v = rng.normal(size=(n, d))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _rank_pairs_sorted(sim, ids, top_k):
+    """Python-sorted ranking: key (-similarity, image id) per image."""
+    pairs = set()
+    for qi, qid in enumerate(ids):
+        order = sorted(
+            (j for j in range(len(ids)) if j != qi), key=lambda j: (-sim[qi, j], ids[j])
+        )
+        for j in order[:top_k]:
+            pairs.add((min(qid, ids[j]), max(qid, ids[j])))
+    return sorted(pairs)
+
+
 class TestRetrieval:
+    def test_ranking_equals_sorted_keys_under_ties(self):
+        rng = np.random.default_rng(61)
+        for n in (2, 3, 9, 40):
+            ids = sorted(rng.choice(1000, size=n, replace=False).tolist())
+            # a coarse grid of values makes many equal similarities
+            sim = np.round(rng.uniform(0, 1, size=(n, n)), 1)
+            sim = np.maximum(sim, sim.T)
+            sim[np.diag_indices(n)] = 1.0
+            sim[0] = 0.0  # a row of ties only, against every image
+            for top_k in (1, 2, 5, n):
+                assert _rank_pairs(sim, ids, top_k) == _rank_pairs_sorted(sim, ids, top_k)
+
     def _corpus(self, rng, groups):
         """groups: list of lists of word-descriptor pools per image."""
         features = {}

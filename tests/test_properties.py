@@ -1,5 +1,6 @@
-"""Property tests: projection, rotation kernels, similarity recovery and the
-text formats' round trips over generated inputs."""
+"""Property tests: projection, rotation kernels, similarity recovery, the
+two-view cheirality count and the text formats' round trips over generated
+inputs."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -16,8 +17,11 @@ from parsfm.geometry import (
     umeyama_similarity,
 )
 from parsfm.geometry.camera import project_rotation
+from parsfm.geometry.twoview import _cheirality_counts
 from parsfm.matchgraph import FeatureSet, ImageMeta, MatchPair
 from parsfm.matchgraph.dataset import Dataset, read_dataset, write_dataset
+
+from helpers import cheirality_counts_loop
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -92,6 +96,40 @@ def test_umeyama_recovers_a_similarity(scale, omega, t, seed, n):
     assert np.abs(T.rotation - truth.rotation).max() < 1e-9
     assert np.abs(T.translation - t).max() < 1e-9 * max(1.0, np.abs(t).max())
     assert mse < 1e-12 * max(1.0, np.abs(t).max()) ** 2
+
+
+@SETTINGS
+@given(
+    omega=stacks((3,), -1.5, 1.5),
+    t=stacks((3,), -3, 3),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+)
+def test_cheirality_count_equals_dlt_oracle(omega, t, seed, n):
+    """Exact two-view matches of points in front of and behind either
+    camera, each kept away from both image planes and with rays at least
+    0.1 degrees apart, so every depth sign is determined."""
+    assume(np.linalg.norm(t) > 0.1)
+    R = angle_axis_to_matrix(omega)
+    X = np.random.default_rng(seed).uniform([-5, -5, -10], [5, 5, 10], (n, 3))
+    Y = X @ R.T + t
+    ray2 = X + R.T @ t  # from camera 2's center -R^T t, in camera 1's frame
+    sin = np.linalg.norm(np.cross(X, ray2), axis=1) / (
+        np.linalg.norm(X, axis=1) * np.linalg.norm(ray2, axis=1))
+    keep = (np.abs(X[:, 2]) > 0.5) & (np.abs(Y[:, 2]) > 0.5) & (sin > np.sin(np.deg2rad(0.1)))
+    assume(keep.any())
+    X, Y = X[keep], Y[keep]
+    x1, x2 = X[:, :2] / X[:, 2:], Y[:, :2] / Y[:, 2:]
+    # the directions of X at infinity: both rays of a match parallel up to
+    # rounding, so neither depth sign is determined and the match never counts
+    RX = X @ R.T
+    far = np.abs(RX[:, 2]) > 0.5
+    x1_far, x2_far = np.vstack([x1, x1[far]]), np.vstack([x2, RX[far, :2] / RX[far, 2:]])
+    # (R, -t) mirrors every point through camera 1's center: both depths flip
+    for tc, front in ((t, (X[:, 2] > 0) & (Y[:, 2] > 0)), (-t, (X[:, 2] < 0) & (Y[:, 2] < 0))):
+        count = _cheirality_counts(R, tc, x1, x2)
+        assert count == cheirality_counts_loop(R, tc, x1, x2) == int(front.sum())
+        assert _cheirality_counts(R, tc, x1_far, x2_far) == count
 
 
 @st.composite
