@@ -1,14 +1,17 @@
 """Levenberg-Marquardt bundle adjustment with block-sparse Schur elimination.
 
-Each linearization builds the normal-equation blocks once (per camera U and
-g_c, per point V and g_p, the 6x3 block-sparse coupling W = A^T B), and its
-damping retries reuse them. Points are eliminated through the Schur
-complement S = U - W V^-1 W^T, a product of 6x3 block-sparse matrices, and
-the reduced camera system is solved by Cholesky (least squares if S is not
-numerically positive definite); intrinsics stay fixed. Gauge is fixed by
-holding the first camera constant and, when no points are held fixed,
-restoring the length of the first camera baseline (a pure gauge transform,
-so it never changes the cost).
+Observations are ordered once by (camera, point), so each free camera's
+Jacobian rows are one slice and the observations coupling a free camera to a
+free point are the block rows of W in order. Each linearization builds the
+normal-equation blocks once (per camera U = A_c^T A_c and g_c from that
+slice, per point V and g_p, the 6x3 block-sparse coupling W = A^T B), and
+its damping retries reuse them. Points are eliminated through the Schur
+complement S = U - W V^-1 W^T, assembled a band of cameras at a time, and
+the reduced camera system is factored by Cholesky in place (least squares if
+S is not numerically positive definite); intrinsics stay fixed. Gauge is
+fixed by holding the first camera constant and, when no points are held
+fixed, restoring the length of the first camera baseline (a pure gauge
+transform, so it never changes the cost).
 """
 
 from __future__ import annotations
@@ -28,6 +31,9 @@ _BEHIND_PENALTY = 1e12
 GRADIENT_TOLERANCE = 1e-12
 PARAMETER_TOLERANCE = 1e-12
 FUNCTION_TOLERANCE = 1e-8
+# free cameras per band of the Schur product: W V^-1 exists for one band of
+# block rows at a time
+SCHUR_BAND_CAMERAS = 64
 
 
 @dataclass
@@ -60,7 +66,6 @@ class _Normal:
     gc: np.ndarray  # (cameras, 6) camera part of -J^T r
     gp: np.ndarray  # (points, 3) point part of -J^T r
     W: sp_sparse.bsr_matrix  # camera/point coupling, 6x3 blocks
-    WT: sp_sparse.bsr_matrix
 
     def gradient_norm(self) -> float:
         return max(np.abs(self.gc).max(initial=0.0), np.abs(self.gp).max(initial=0.0))
@@ -70,17 +75,16 @@ class _Problem:
     def __init__(self, cameras, intrinsics, points, observations, opts: BaOptions):
         self.cam_ids = sorted(cameras)
         self.pt_ids = sorted(points)
-        obs_img, obs_pt, obs_xy = observations
+        obs_img, obs_pid, obs_xy = observations
         cam_ids, pt_ids = np.array(self.cam_ids), np.array(self.pt_ids)
-        self.obs_cam = np.minimum(np.searchsorted(cam_ids, obs_img), len(cam_ids) - 1)
-        self.obs_pt = np.minimum(np.searchsorted(pt_ids, obs_pt), len(pt_ids) - 1)
-        unknown = (cam_ids[self.obs_cam] != obs_img) | (pt_ids[self.obs_pt] != obs_pt)
+        obs_cam = np.minimum(np.searchsorted(cam_ids, obs_img), len(cam_ids) - 1)
+        obs_pt = np.minimum(np.searchsorted(pt_ids, obs_pid), len(pt_ids) - 1)
+        unknown = (cam_ids[obs_cam] != obs_img) | (pt_ids[obs_pt] != obs_pid)
         if unknown.any():
             k = int(np.argmax(unknown))
             raise KeyError(
-                f"observation references unknown camera/point ({obs_img[k]}, {obs_pt[k]})"
+                f"observation references unknown camera/point ({obs_img[k]}, {obs_pid[k]})"
             )
-        self.obs_xy = np.asarray(obs_xy, dtype=float).reshape(-1, 2)
         self.R = np.array([cameras[c].rotation for c in self.cam_ids])
         self.t = np.array([cameras[c].translation for c in self.cam_ids])
         self.X = np.array([points[p] for p in self.pt_ids], dtype=float)
@@ -98,18 +102,32 @@ class _Problem:
         self.free_cams, self.cam_slot = _free_slots(self.cam_ids, fixed_cams)
         self.free_pts, self.pt_slot = _free_slots(self.pt_ids, opts.fixed_point_ids)
 
-        cslot = self.cam_slot[self.obs_cam]
-        pslot = self.pt_slot[self.obs_pt]
-        # observations of free cameras/points and the sums over their slots
-        self.cam_obs, self.cam_sum = _slot_sum(cslot, len(self.free_cams))
-        self.pt_obs, self.pt_sum = _slot_sum(pslot, len(self.free_pts))
-        # observations with both ends free couple a camera to a point; in
-        # (camera, point) order they are the block rows of W
-        both = np.nonzero((cslot >= 0) & (pslot >= 0))[0]
-        self.coupled = both[np.lexsort((pslot[both], cslot[both]))]
-        self.coupled_pt = pslot[self.coupled]
+        # the one layout: observations in (camera slot, point slot) order, a
+        # stable sort; fixed cameras (slot -1) come first
+        cslot = self.cam_slot[obs_cam]
+        pslot = self.pt_slot[obs_pt]
+        order = np.lexsort((pslot, cslot))
+        self.obs_cam, self.obs_pt = obs_cam[order], obs_pt[order]
+        self.obs_xy = np.asarray(obs_xy, dtype=float).reshape(-1, 2)[order]
+        cslot, pslot = cslot[order], pslot[order]
+        # free camera c owns Jacobian rows cam_rows[c]:cam_rows[c + 1], two
+        # per observation
+        self.cam_rows = 2 * np.searchsorted(cslot, np.arange(len(self.free_cams) + 1))
+        # sums the per-observation rows of the free points into their slots
+        free_pt = np.flatnonzero(pslot >= 0)
+        self.pt_sum = sp_sparse.csr_matrix(
+            (np.ones(len(free_pt)), (pslot[free_pt], free_pt)),
+            shape=(len(self.free_pts), len(pslot)),
+        )
+        # observations with both ends free couple a camera to a point: the
+        # block rows of W, all rows of the free cameras unless one of them
+        # sees a fixed point
+        coupled = np.flatnonzero((cslot >= 0) & (pslot >= 0))
+        first = self.cam_rows[0] // 2
+        self.coupled = slice(first, None) if len(coupled) == len(cslot) - first else coupled
+        self.coupled_pt = pslot[coupled]
         self.coupled_indptr = np.searchsorted(
-            cslot[self.coupled], np.arange(len(self.free_cams) + 1)
+            cslot[coupled], np.arange(len(self.free_cams) + 1)
         )
 
     def residuals(self, R, t, X):
@@ -123,10 +141,6 @@ class _Problem:
         r[~valid] = 0.0  # priced by the penalty instead
         cost = float((r[valid] ** 2).sum()) + _BEHIND_PENALTY * int((~valid).sum())
         return r, valid, cost, v, p
-
-    def mean_error(self):
-        r, valid = self.residuals(self.R, self.t, self.X)[:2]
-        return float(np.linalg.norm(r[valid], axis=1).mean()) if valid.any() else 0.0
 
     def jacobians(self, v, p, valid):
         """Camera (N,2,6) and point (N,2,3) residual Jacobian blocks."""
@@ -150,21 +164,24 @@ class _Problem:
     def normal_equations(self, r, v, p, valid) -> _Normal:
         """Blocks of J^T J and -J^T r over the free cameras and points."""
         A, B = self.jacobians(v, p, valid)
-        At = A.transpose(0, 2, 1)
         k = self.coupled
         W = sp_sparse.bsr_matrix(
-            (At[k] @ B[k], self.coupled_pt, self.coupled_indptr),
+            (A[k].transpose(0, 2, 1) @ B[k], self.coupled_pt, self.coupled_indptr),
             shape=(6 * len(self.free_cams), 3 * len(self.free_pts)),
         )
-        A, At, r_c = A[self.cam_obs], At[self.cam_obs], r[self.cam_obs]
-        B, r_p = B[self.pt_obs], r[self.pt_obs]
+        # camera blocks: the Gram matrix of each free camera's Jacobian rows
+        J, e = A.reshape(-1, 6), r.reshape(-1)
+        nc = len(self.free_cams)
+        U, gc = np.empty((nc, 6, 6)), np.empty((nc, 6))
+        for c, (lo, hi) in enumerate(zip(self.cam_rows[:-1], self.cam_rows[1:])):
+            U[c] = J[lo:hi].T @ J[lo:hi]
+            gc[c] = -(e[lo:hi] @ J[lo:hi])
         return _Normal(
-            U=(self.cam_sum @ (At @ A).reshape(-1, 36)).reshape(-1, 6, 6),
+            U=U,
             V=(self.pt_sum @ (B.transpose(0, 2, 1) @ B).reshape(-1, 9)).reshape(-1, 3, 3),
-            gc=-(self.cam_sum @ np.einsum("nij,ni->nj", A, r_c)),
-            gp=-(self.pt_sum @ np.einsum("nij,ni->nj", B, r_p)),
+            gc=gc,
+            gp=-(self.pt_sum @ np.einsum("nij,ni->nj", B, r)),
             W=W,
-            WT=W.T,
         )
 
     def stepped(self, dc, dp):
@@ -189,19 +206,76 @@ def _free_slots(ids, fixed):
     return free, slot
 
 
-def _slot_sum(slot, rows):
-    """The observations with a slot (not -1), and the CSR matrix that sums
-    their per-observation rows into the slot rows."""
-    obs = np.nonzero(slot >= 0)[0]
-    n = len(obs)
-    return obs, sp_sparse.csr_matrix(
-        (np.ones(n), (slot[obs], np.arange(n))), shape=(rows, n)
-    )
+def _mean_error(r, valid):
+    """Mean reprojection error of the valid observations."""
+    return float(np.linalg.norm(r[valid], axis=1).mean()) if valid.any() else 0.0
 
 
 def _centers(R, t):
     """Camera centres -R^T t of (N,3,3) rotations and (N,3) translations."""
     return -np.einsum("nji,nj->ni", R, t)
+
+
+def _inv_sym3(V):
+    """Inverses of symmetric 3x3 blocks (n,3,3) from their closed-form
+    factors V = L D L^T, as V^-1 = L^-T D^-1 L^-1; this is as accurate as LU,
+    where the adjugate loses digits with the square of the condition number.
+    A block whose determinant is not positive and finite is pseudo-inverted
+    instead, and one that is not finite gives NaN."""
+    a, b, c = V[:, 0, 0], V[:, 0, 1], V[:, 0, 2]
+    d, e, f = V[:, 1, 1], V[:, 1, 2], V[:, 2, 2]
+    inv = np.empty_like(V)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        l21, l31 = b / a, c / a
+        d2 = d - b * l21
+        q = e - c * l21
+        l32 = q / d2
+        d3 = f - c * l31 - l32 * q
+        m31 = l21 * l32 - l31  # L^-1 = [[1, 0, 0], [-l21, 1, 0], [m31, -l32, 1]]
+        inv[:, 2, 2] = 1.0 / d3
+        inv[:, 1, 2] = inv[:, 2, 1] = -l32 * inv[:, 2, 2]
+        inv[:, 0, 2] = inv[:, 2, 0] = m31 * inv[:, 2, 2]
+        inv[:, 1, 1] = 1.0 / d2 - l32 * inv[:, 1, 2]
+        inv[:, 0, 1] = inv[:, 1, 0] = -l21 / d2 - l32 * inv[:, 0, 2]
+        inv[:, 0, 0] = 1.0 / a + l21 * l21 / d2 + m31 * inv[:, 0, 2]
+        det = a * d2 * d3
+    ok = np.isfinite(det) & (det > 0)
+    if not ok.all():
+        bad = np.flatnonzero(~ok)
+        finite = np.isfinite(V[bad]).all(axis=(1, 2))  # an SVD may not end on inf
+        inv[bad] = np.nan
+        inv[bad[finite]] = np.linalg.pinv(V[bad[finite]])
+    return inv
+
+
+def _reduced_system(ne: _Normal, U, Vinv):
+    """The reduced camera system S dc = b with S = U - W V^-1 W^T and
+    b = g_c - W V^-1 g_p, built SCHUR_BAND_CAMERAS block rows at a time so
+    that no more than one band of Y = W V^-1 exists at once."""
+    nc = len(U)
+    W = ne.W
+    S = np.zeros((6 * nc, 6 * nc))
+    b = np.empty(6 * nc)
+    for c0 in range(0, nc, SCHUR_BAND_CAMERAS):
+        c1 = min(c0 + SCHUR_BAND_CAMERAS, nc)
+        lo, hi = W.indptr[c0], W.indptr[c1]
+        cols = W.indices[lo:hi]
+        Y = sp_sparse.bsr_matrix(
+            (W.data[lo:hi] @ Vinv[cols], cols, W.indptr[c0 : c1 + 1] - lo),
+            shape=(6 * (c1 - c0), W.shape[1]),
+        )
+        rows = slice(6 * c0, 6 * c1)
+        b[rows] = ne.gc[c0:c1].reshape(-1) - Y @ ne.gp.reshape(-1)
+        # (W Y^T)^T makes the products and sums of Y W^T in the same order,
+        # and no transpose of all of W is made
+        Y = Y.T
+        band = S[rows]
+        (W @ Y).T.toarray(out=band)  # adds into S's zero rows
+        np.negative(band, out=band)
+    d6 = np.arange(6)
+    diag = 6 * np.arange(nc)[:, None, None]
+    S[diag + d6[:, None], diag + d6] += U
+    return S, b
 
 
 def _solve_schur(ne: _Normal, lam):
@@ -212,25 +286,20 @@ def _solve_schur(ne: _Normal, lam):
     U[:, d6, d6] += lam * np.maximum(U[:, d6, d6], 1e-12)
     V = ne.V.copy()
     V[:, d3, d3] += lam * np.maximum(V[:, d3, d3], 1e-12)
-    try:
-        Vinv = np.linalg.inv(V)
-    except np.linalg.LinAlgError:
-        Vinv = np.linalg.pinv(V)
+    Vinv = _inv_sym3(V)
 
-    # S = blockdiag(U) - Y W^T with Y = W V^-1, both 6x3 block-sparse
-    W = ne.W
-    Y = sp_sparse.bsr_matrix((W.data @ Vinv[W.indices], W.indices, W.indptr), shape=W.shape)
-    S = -(Y @ ne.WT).toarray()
-    diag = 6 * np.arange(nc)[:, None, None]
-    S[diag + d6[:, None], diag + d6] += U
-    b = ne.gc.reshape(-1) - Y @ ne.gp.reshape(-1)
+    S, b = _reduced_system(ne, U, Vinv)
     try:
-        dc = cho_solve(cho_factor(S), b)
+        # S is filled by rows, so S.T is the F-ordered array LAPACK factors
+        # in place; its lower triangle is the upper triangle of S
+        dc = cho_solve(cho_factor(S.T, lower=True, overwrite_a=True), b)
     except np.linalg.LinAlgError:  # S is not numerically positive definite
+        S, b = _reduced_system(ne, U, Vinv)  # the failed factorization wrote over S
         dc = np.linalg.lstsq(S, b, rcond=None)[0]
+    del S  # S, or its factor, is freed before W^T is made
 
     # back-substitute points: dp = Vinv (gp - W^T dc)
-    dp = np.einsum("nij,nj->ni", Vinv, ne.gp - (ne.WT @ dc).reshape(npt, 3))
+    dp = np.einsum("nij,nj->ni", Vinv, ne.gp - (ne.W.T @ dc).reshape(npt, 3))
     return dc.reshape(nc, 6), dp
 
 
@@ -250,7 +319,7 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
     prob = _Problem(cameras, intrinsics, points, observations, opts)
     r, valid, cost, v, p = prob.residuals(prob.R, prob.t, prob.X)
     report = BaReport(
-        initial_mean_error=prob.mean_error(),
+        initial_mean_error=_mean_error(r, valid),
         initial_cost=cost,
         converged=False,
     )
@@ -277,6 +346,7 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
     it = 0
     while it < opts.max_iterations:
         it += 1
+        ne = None  # release the previous linearization before building the next
         ne = prob.normal_equations(r, v, p, valid)
         if ne.gradient_norm() < GRADIENT_TOLERANCE:
             report.converged = True
@@ -323,10 +393,11 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
             if abs(s - 1.0) > 1e-15:
                 prob.X = C[0] + s * (prob.X - C[0])
                 prob.t = -np.einsum("nij,nj->ni", prob.R, C[0] + s * (C - C[0]))
+                r, valid, cost = prob.residuals(prob.R, prob.t, prob.X)[:3]
 
     report.iterations = it
-    report.final_cost = cost if not fix_scale else prob.residuals(prob.R, prob.t, prob.X)[2]
-    report.final_mean_error = prob.mean_error()
+    report.final_cost = cost
+    report.final_mean_error = _mean_error(r, valid)
 
     for i, cid in enumerate(prob.cam_ids):
         cameras[cid] = CameraPose(prob.R[i], prob.t[i])

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse as sp_sparse
 
 from parsfm.geometry import BaOptions, BaReport, CameraPose, project, solve_bundle
 from parsfm.geometry import ba
-from parsfm.geometry.ba import _Problem, _solve_schur
+from parsfm.geometry.ba import _inv_sym3, _Problem, _solve_schur
 from parsfm.geometry.camera import angle_axis_to_matrix
 
 from helpers import ba_arrays, call_with_deadline, default_intrinsics, ring_cameras
@@ -220,21 +222,33 @@ ORACLE_SCENES = {
 }
 
 
+def assert_step_matches_reference(n_cams, opts, lam):
+    """The Schur step on a ring scene with a point behind camera 0 equals
+    schur_reference; returns the linearized problem."""
+    cameras, intrinsics, points, obs = make_scene(n_cams=n_cams, seed=11, noise=0.7)
+    add_point_behind_camera(cameras, intrinsics, points, obs)
+    prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, opts)
+    assert not valid.all()
+    A, B = prob.jacobians(v, p, valid)
+    dc_ref, dp_ref, _ = schur_reference(prob, A, B, r, lam)
+    dc, dp = _solve_schur(prob.normal_equations(r, v, p, valid), lam)
+    assert dc.shape == dc_ref.shape and dp.shape == dp_ref.shape
+    assert np.abs(dc_ref).max() > 0 and np.abs(dp_ref).max() > 0
+    np.testing.assert_allclose(dc, dc_ref, rtol=1e-9, atol=1e-9 * np.abs(dc_ref).max())
+    np.testing.assert_allclose(dp, dp_ref, rtol=1e-9, atol=1e-9 * np.abs(dp_ref).max())
+    return prob
+
+
 class TestSchurOracle:
     @pytest.mark.parametrize("lam", [1e-4, 10.0])
     @pytest.mark.parametrize("scene", sorted(ORACLE_SCENES))
     def test_block_sparse_step_matches_reference(self, scene, lam):
-        cameras, intrinsics, points, obs = make_scene(seed=11, noise=0.7)
-        add_point_behind_camera(cameras, intrinsics, points, obs)
-        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, ORACLE_SCENES[scene])
-        assert not valid.all()
-        A, B = prob.jacobians(v, p, valid)
-        dc_ref, dp_ref, _ = schur_reference(prob, A, B, r, lam)
-        dc, dp = _solve_schur(prob.normal_equations(r, v, p, valid), lam)
-        assert dc.shape == dc_ref.shape and dp.shape == dp_ref.shape
-        assert np.abs(dc_ref).max() > 0 and np.abs(dp_ref).max() > 0
-        np.testing.assert_allclose(dc, dc_ref, rtol=1e-9, atol=1e-9 * np.abs(dc_ref).max())
-        np.testing.assert_allclose(dp, dp_ref, rtol=1e-9, atol=1e-9 * np.abs(dp_ref).max())
+        assert_step_matches_reference(6, ORACLE_SCENES[scene], lam)
+
+    @pytest.mark.parametrize("lam", [1e-4, 10.0])
+    def test_step_over_several_bands_matches_reference(self, lam):
+        prob = assert_step_matches_reference(70, BaOptions(fixed_camera_ids={10, 64}), lam)
+        assert len(prob.free_cams) > ba.SCHUR_BAND_CAMERAS
 
     def test_indefinite_reduced_system_falls_back_to_least_squares(self, monkeypatch):
         cameras, intrinsics, points, obs = make_scene(seed=12, noise=0.7)
@@ -261,6 +275,78 @@ class TestSchurOracle:
         assert report.iterations > 0
         assert np.isfinite([report.final_cost, report.final_mean_error]).all()
         assert report.final_cost < report.initial_cost
+
+
+def spd_blocks(rng, n, log10_cond):
+    """n random symmetric positive definite 3x3 blocks with condition numbers
+    10**log10_cond[0] .. 10**log10_cond[1] and scales 1e-3 .. 1e3."""
+    Q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    cond = 10.0 ** rng.uniform(*log10_cond, size=n)
+    s = np.stack([np.ones(n), cond, np.exp(rng.uniform(0, np.log(cond)))], axis=1)
+    V = Q @ (s[:, :, None] * Q.transpose(0, 2, 1)) * 10.0 ** rng.uniform(-3, 3, (n, 1, 1))
+    return (V + V.transpose(0, 2, 1)) / 2
+
+
+class TestPointBlockInverse:
+    @pytest.mark.parametrize("log10_cond", [(0, 3), (6, 12)], ids=["spd", "near_singular"])
+    def test_equals_lapack_inverse(self, log10_cond):
+        V = spd_blocks(np.random.default_rng(21), 2000, log10_cond)
+        ref = np.linalg.inv(V)
+        err = np.abs(_inv_sym3(V) - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2))
+        # any double-precision inverse is off by about eps * cond
+        assert (err <= np.maximum(1e-12, 1e-15 * np.linalg.cond(V))).all()
+
+    def test_zero_observation_point(self):
+        """A point whose only observation lies behind its camera has a zero
+        block, which the damping makes invertible."""
+        cameras, intrinsics, points, obs = make_scene(seed=11, noise=0.7)
+        pid = add_point_behind_camera(cameras, intrinsics, points, obs)
+        obs = [o for o in obs if o[1] != pid or o[0] == 0]
+        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, BaOptions())
+        V = prob.normal_equations(r, v, p, valid).V
+        assert not V[prob.pt_slot[prob.pt_ids.index(pid)]].any()
+        d3 = np.arange(3)
+        for lam in (1e-4, 10.0):
+            damped = V.copy()
+            damped[:, d3, d3] += lam * np.maximum(damped[:, d3, d3], 1e-12)
+            np.testing.assert_allclose(_inv_sym3(damped), np.linalg.inv(damped), rtol=1e-12)
+
+    def test_blocks_without_positive_determinant_are_pseudo_inverted(self):
+        rng = np.random.default_rng(22)
+        good = spd_blocks(rng, 3, (0, 2))
+        singular = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        zero_row = np.diag([2.0, 0.0, 3.0])
+        indefinite = np.diag([1.0, -1.0, 2.0])
+        infinite = np.diag([np.inf, 1.0, 1.0])
+        V = np.stack([good[0], singular, good[1], zero_row, indefinite, infinite, good[2]])
+        inv = call_with_deadline(lambda: _inv_sym3(V))["returned"]  # an SVD of inf spins
+        for k in (0, 2, 6):  # each block on its own path
+            np.testing.assert_allclose(inv[k], np.linalg.inv(V[k]), rtol=1e-12)
+        for k in (1, 3, 4):
+            np.testing.assert_array_equal(inv[k], np.linalg.pinv(V[k]))
+        assert np.isnan(inv[5]).all()
+
+
+# traced peak of one iteration per observation, 25% over the 578 B measured
+# with the camera-sorted layout; the (n,6,6) stack and full W^T it replaced
+# measured 832 B
+PEAK_BYTES_PER_OBSERVATION = 578 * 1.25
+
+
+class TestMemory:
+    def test_one_iteration_peak_per_observation(self):
+        cameras, intrinsics, points, obs = make_scene(n_cams=40, n_pts=500, seed=13, noise=0.5)
+        arrays = ba_arrays(obs)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            solve_bundle(cameras, intrinsics, points, arrays, BaOptions(max_iterations=1))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(obs) == 20000
+        assert peak / len(obs) < PEAK_BYTES_PER_OBSERVATION
 
 
 class TestNonFiniteStep:
