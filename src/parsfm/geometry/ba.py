@@ -2,13 +2,16 @@
 
 Observations are ordered once by (camera, point), so each free camera's
 Jacobian rows are one slice and the observations coupling a free camera to a
-free point are the block rows of W in order. Each linearization builds the
-normal-equation blocks once (per camera U = A_c^T A_c and g_c from that
-slice, per point V and g_p, the 6x3 block-sparse coupling W = A^T B), and
-its damping retries reuse them. Points are eliminated through the Schur
-complement S = U - W V^-1 W^T, assembled a band of cameras at a time, and
-the reduced camera system is factored by Cholesky in place (least squares if
-S is not numerically positive definite); intrinsics stay fixed. Gauge is
+free point are the block rows of W in order. Residuals and Jacobians are
+computed a chunk of whole cameras at a time, so no per-observation stack of
+rotations or Jacobian products exists beyond one chunk. Each linearization
+builds the normal-equation blocks once (per camera U = A_c^T A_c and g_c
+from that slice, per point V and g_p, the 6x3 block-sparse coupling
+W = A^T B), and its damping retries reuse them. Points are eliminated
+through the Schur complement S = U - W V^-1 W^T, whose upper triangle is
+assembled a band of cameras at a time, and the reduced camera system is
+factored by Cholesky in place (least squares if S is not numerically
+positive definite); intrinsics stay fixed. Gauge is
 fixed by holding the first camera constant and, when no points are held
 fixed, restoring the length of the first camera baseline (a pure gauge
 transform, so it never changes the cost).
@@ -33,7 +36,10 @@ PARAMETER_TOLERANCE = 1e-12
 FUNCTION_TOLERANCE = 1e-8
 # free cameras per band of the Schur product: W V^-1 exists for one band of
 # block rows at a time
-SCHUR_BAND_CAMERAS = 64
+SCHUR_BAND_CAMERAS = 16
+# observations per chunk of the residual and Jacobian kernels; a chunk holds
+# whole cameras, so one camera with more observations is a chunk of its own
+CHUNK_ROWS = 4096
 
 
 @dataclass
@@ -113,6 +119,7 @@ class _Problem:
         # free camera c owns Jacobian rows cam_rows[c]:cam_rows[c + 1], two
         # per observation
         self.cam_rows = 2 * np.searchsorted(cslot, np.arange(len(self.free_cams) + 1))
+        self.chunks = _chunks(self.cam_rows // 2, CHUNK_ROWS)
         # sums the per-observation rows of the free points into their slots
         free_pt = np.flatnonzero(pslot >= 0)
         self.pt_sum = sp_sparse.csr_matrix(
@@ -120,68 +127,84 @@ class _Problem:
             shape=(len(self.free_pts), len(pslot)),
         )
         # observations with both ends free couple a camera to a point: the
-        # block rows of W, all rows of the free cameras unless one of them
-        # sees a fixed point
-        coupled = np.flatnonzero((cslot >= 0) & (pslot >= 0))
-        first = self.cam_rows[0] // 2
-        self.coupled = slice(first, None) if len(coupled) == len(cslot) - first else coupled
-        self.coupled_pt = pslot[coupled]
+        # block rows of W
+        self.coupled = (cslot >= 0) & (pslot >= 0)
+        self.coupled_pt = pslot[self.coupled]
         self.coupled_indptr = np.searchsorted(
-            cslot[coupled], np.arange(len(self.free_cams) + 1)
+            cslot[self.coupled], np.arange(len(self.free_cams) + 1)
         )
 
     def residuals(self, R, t, X):
         """Per-observation 2-vector residuals plus validity mask and cost."""
-        c = self.obs_cam
-        v = np.einsum("nij,nj->ni", R[c], X[self.obs_pt])
-        p = v + t[c]
-        px, z = pinhole(p, self.fx[c], self.fy[c], self.cx[c], self.cy[c])
-        valid = z > 1e-9
-        r = px - self.obs_xy
+        n = len(self.obs_cam)
+        r, v, p = np.empty((n, 2)), np.empty((n, 3)), np.empty((n, 3))
+        valid = np.empty(n, dtype=bool)
+        for rows, _ in self.chunks:
+            c = self.obs_cam[rows]
+            v[rows] = np.einsum("nij,nj->ni", R[c], X[self.obs_pt[rows]])
+            p[rows] = v[rows] + t[c]
+            px, z = pinhole(p[rows], self.fx[c], self.fy[c], self.cx[c], self.cy[c])
+            valid[rows] = z > 1e-9
+            r[rows] = px - self.obs_xy[rows]
         r[~valid] = 0.0  # priced by the penalty instead
         cost = float((r[valid] ** 2).sum()) + _BEHIND_PENALTY * int((~valid).sum())
         return r, valid, cost, v, p
 
-    def jacobians(self, v, p, valid):
-        """Camera (N,2,6) and point (N,2,3) residual Jacobian blocks."""
-        n = len(self.obs_cam)
+    def jacobians(self, v, p, valid, rows=slice(None), skip=0):
+        """Camera (k - skip,2,6) blocks of the rows after the first `skip`
+        and point (k,2,3) blocks of all k rows of the residual Jacobian."""
+        c = self.obs_cam[rows]
+        p, valid = p[rows], valid[rows]
         z = np.where(valid, p[:, 2], 1.0)
-        fx = self.fx[self.obs_cam]
-        fy = self.fy[self.obs_cam]
-        Jp = np.zeros((n, 2, 3))
+        fx = self.fx[c]
+        fy = self.fy[c]
+        Jp = np.zeros((len(c), 2, 3))
         Jp[:, 0, 0] = fx / z
         Jp[:, 0, 2] = -fx * p[:, 0] / z**2
         Jp[:, 1, 1] = fy / z
         Jp[:, 1, 2] = -fy * p[:, 1] / z**2
         Jp[~valid] = 0.0
 
-        A = np.zeros((n, 2, 6))
-        A[:, :, :3] = -(Jp @ skew(v))
-        A[:, :, 3:] = Jp
-        B = Jp @ self.R[self.obs_cam]
+        A = np.zeros((len(c) - skip, 2, 6))
+        A[:, :, :3] = -(Jp[skip:] @ skew(v[rows][skip:]))
+        A[:, :, 3:] = Jp[skip:]
+        B = Jp @ self.R[c]
         return A, B
 
     def normal_equations(self, r, v, p, valid) -> _Normal:
         """Blocks of J^T J and -J^T r over the free cameras and points."""
-        A, B = self.jacobians(v, p, valid)
-        k = self.coupled
-        W = sp_sparse.bsr_matrix(
-            (A[k].transpose(0, 2, 1) @ B[k], self.coupled_pt, self.coupled_indptr),
-            shape=(6 * len(self.free_cams), 3 * len(self.free_pts)),
-        )
-        # camera blocks: the Gram matrix of each free camera's Jacobian rows
-        J, e = A.reshape(-1, 6), r.reshape(-1)
-        nc = len(self.free_cams)
+        n, nc = len(self.obs_cam), len(self.free_cams)
         U, gc = np.empty((nc, 6, 6)), np.empty((nc, 6))
-        for c, (lo, hi) in enumerate(zip(self.cam_rows[:-1], self.cam_rows[1:])):
-            U[c] = J[lo:hi].T @ J[lo:hi]
-            gc[c] = -(e[lo:hi] @ J[lo:hi])
+        W = np.empty((len(self.coupled_pt), 6, 3))
+        BtB, Btr = np.empty((n, 9)), np.empty((n, 3))
+        first = self.cam_rows[0] // 2  # rows of fixed cameras come first
+        for rows, cams in self.chunks:
+            # camera blocks only for the rows of free cameras
+            free = slice(min(max(first, rows.start), rows.stop), rows.stop)
+            skip = free.start - rows.start
+            A, B = self.jacobians(v, p, valid, rows, skip)
+            np.matmul(B.transpose(0, 2, 1), B, out=BtB[rows].reshape(-1, 3, 3))
+            Btr[rows] = np.einsum("nij,ni->nj", B, r[rows])
+            k = self.coupled[free]
+            W[self.coupled_indptr[cams.start] : self.coupled_indptr[cams.stop]] = (
+                A[k].transpose(0, 2, 1) @ B[skip:][k]
+            )
+            # camera blocks: the Gram matrix of each free camera's rows
+            J, e = A.reshape(-1, 6), r[free].reshape(-1)
+            lo = 2 * free.start
+            for c in range(cams.start, cams.stop):
+                a, b = self.cam_rows[c] - lo, self.cam_rows[c + 1] - lo
+                U[c] = J[a:b].T @ J[a:b]
+                gc[c] = -(e[a:b] @ J[a:b])
         return _Normal(
             U=U,
-            V=(self.pt_sum @ (B.transpose(0, 2, 1) @ B).reshape(-1, 9)).reshape(-1, 3, 3),
+            V=(self.pt_sum @ BtB).reshape(-1, 3, 3),
             gc=gc,
-            gp=-(self.pt_sum @ np.einsum("nij,ni->nj", B, r)),
-            W=W,
+            gp=-(self.pt_sum @ Btr),
+            W=sp_sparse.bsr_matrix(
+                (W, self.coupled_pt, self.coupled_indptr),
+                shape=(6 * nc, 3 * len(self.free_pts)),
+            ),
         )
 
     def stepped(self, dc, dp):
@@ -204,6 +227,25 @@ def _free_slots(ids, fixed):
     slot = np.full(len(ids), -1, dtype=int)
     slot[free] = np.arange(len(free))
     return free, slot
+
+
+def _chunks(cam_obs, size):
+    """(observation rows, free cameras) slices of chunks of up to `size`
+    rows. cam_obs (free cameras + 1) bounds the rows of each free camera,
+    which follow the rows of the fixed cameras: those split anywhere, free
+    cameras only whole, and a camera with more rows is a chunk of its own."""
+    bounds = np.union1d(np.arange(0, cam_obs[0], size), cam_obs)
+    rows = [0]
+    while rows[-1] < bounds[-1]:
+        shortest = bounds[np.searchsorted(bounds, rows[-1], side="right")]
+        longest = bounds[np.searchsorted(bounds, rows[-1] + size, side="right") - 1]
+        rows.append(max(shortest, longest))
+    cams = np.searchsorted(cam_obs[:-1], rows)
+    cams[-1] = len(cam_obs) - 1  # cameras without rows at the end
+    return [
+        (slice(lo, hi), slice(c0, c1))
+        for lo, hi, c0, c1 in zip(rows[:-1], rows[1:], cams[:-1], cams[1:])
+    ]
 
 
 def _mean_error(r, valid):
@@ -249,9 +291,10 @@ def _inv_sym3(V):
 
 
 def _reduced_system(ne: _Normal, U, Vinv):
-    """The reduced camera system S dc = b with S = U - W V^-1 W^T and
-    b = g_c - W V^-1 g_p, built SCHUR_BAND_CAMERAS block rows at a time so
-    that no more than one band of Y = W V^-1 exists at once."""
+    """The upper triangle of the reduced camera system S dc = b, with
+    S = U - W V^-1 W^T and b = g_c - W V^-1 g_p, built SCHUR_BAND_CAMERAS
+    block rows at a time so that no more than one band of Y = W V^-1 exists
+    at once. Left of each band's first camera S holds zeros."""
     nc = len(U)
     W = ne.W
     S = np.zeros((6 * nc, 6 * nc))
@@ -266,12 +309,14 @@ def _reduced_system(ne: _Normal, U, Vinv):
         )
         rows = slice(6 * c0, 6 * c1)
         b[rows] = ne.gc[c0:c1].reshape(-1) - Y @ ne.gp.reshape(-1)
-        # (W Y^T)^T makes the products and sums of Y W^T in the same order,
-        # and no transpose of all of W is made
-        Y = Y.T
-        band = S[rows]
-        (W @ Y).T.toarray(out=band)  # adds into S's zero rows
-        np.negative(band, out=band)
+        # the band's blocks right of its first camera: (W_c0: Y^T)^T makes
+        # the products and sums of Y W_c0:^T in the same order, and no
+        # transpose of W is made
+        W_right = sp_sparse.bsr_matrix(
+            (W.data[lo:], W.indices[lo:], W.indptr[c0:] - lo),
+            shape=(6 * (nc - c0), W.shape[1]),
+        )
+        np.negative((W_right @ Y.T).T.toarray(), out=S[rows, 6 * c0 :])
     d6 = np.arange(6)
     diag = 6 * np.arange(nc)[:, None, None]
     S[diag + d6[:, None], diag + d6] += U
@@ -291,10 +336,13 @@ def _solve_schur(ne: _Normal, lam):
     S, b = _reduced_system(ne, U, Vinv)
     try:
         # S is filled by rows, so S.T is the F-ordered array LAPACK factors
-        # in place; its lower triangle is the upper triangle of S
+        # in place; its lower triangle, the one read, is the upper triangle
+        # of S
         dc = cho_solve(cho_factor(S.T, lower=True, overwrite_a=True), b)
     except np.linalg.LinAlgError:  # S is not numerically positive definite
         S, b = _reduced_system(ne, U, Vinv)  # the failed factorization wrote over S
+        i, j = np.tril_indices(len(S), -1)
+        S[i, j] = S[j, i]
         dc = np.linalg.lstsq(S, b, rcond=None)[0]
     del S  # S, or its factor, is freed before W^T is made
 

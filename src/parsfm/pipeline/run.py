@@ -4,11 +4,12 @@ reconstructions on a worker pool, merging, and artifact emission."""
 from __future__ import annotations
 
 import ctypes
+import gc
 import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from ..graphalgo import extract_wcds, normalized_cut
 from ..matchgraph import build_match_graph, build_vocabulary, retrieve_pairs, verify_matches
 from ..matchgraph.dataset import read_dataset
 from ..matchgraph.matching import IN_PROCESS
+from ..matchgraph.types import FeatureSet
 from ..merge import MergeOptions, merge_all
 from .config import PipelineConfig
 from .evaluate import EvalMetrics
@@ -110,13 +112,30 @@ def _one_blas_thread():
             set_threads(1)
 
 
+@contextmanager
 def _worker_pool(worker_count):
     """Context giving an object with ``map``: a pool of forked one-BLAS-thread
-    workers, or this process for one worker."""
+    workers, or this process for one worker.
+
+    The heap is frozen (``gc.freeze``) before the pool can fork, so the
+    workers inherit every object the parent holds in the permanent
+    generation: their collections never write the gc headers of those
+    objects, which would copy each page they sit on into the worker. The
+    heap is unfrozen once the pool has shut down, unless the caller had
+    frozen objects already, since ``gc.unfreeze`` would thaw those too.
+    """
     if worker_count <= 1:
-        return nullcontext(IN_PROCESS)
-    fork = multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(worker_count, fork, initializer=_one_blas_thread)
+        yield IN_PROCESS
+        return
+    thaw = gc.get_freeze_count() == 0
+    gc.freeze()
+    try:
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(worker_count, fork, initializer=_one_blas_thread) as pool:
+            yield pool
+    finally:
+        if thaw:
+            gc.unfreeze()
 
 
 def _subset_task(payload):
@@ -136,7 +155,11 @@ def _make_payload(subset, dataset, pairs, opts, recon_id):
     subset = sorted(subset)
     sset = set(subset)
     sub_pairs = [p for p in pairs if p.image_id_a in sset and p.image_id_b in sset]
-    features = {i: dataset.features[i] for i in subset}
+    # the engine reads keypoints only: descriptors stay in this process
+    features = {}
+    for i in subset:
+        kp = dataset.features[i].keypoints
+        features[i] = FeatureSet(i, kp, np.empty((len(kp), 0)))
     intrinsics = {i: dataset.intrinsics[i] for i in subset}
     return (subset, features, sub_pairs, intrinsics, opts, recon_id)
 

@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse as sp_sparse
+from scipy.linalg import block_diag
 
 from parsfm.geometry import BaOptions, BaReport, CameraPose, project, solve_bundle
 from parsfm.geometry import ba
-from parsfm.geometry.ba import _inv_sym3, _Problem, _solve_schur
+from parsfm.geometry.ba import _inv_sym3, _Problem, _reduced_system, _solve_schur
 from parsfm.geometry.camera import angle_axis_to_matrix
 
 from helpers import ba_arrays, call_with_deadline, default_intrinsics, ring_cameras
@@ -215,6 +216,50 @@ class TestSolveBundle:
                    - mean_reproj(cameras, intrinsics, points, obs)) < 1e-9
 
 
+class TestChunks:
+    def test_one_camera_per_chunk_equals_one_chunk(self, monkeypatch):
+        """Residuals and Jacobians walked a camera at a time give the same
+        bits as one chunk over all rows, with fixed cameras and points."""
+        opts = dict(fixed_camera_ids={0, 3}, fixed_point_ids={2, 7, 11})
+        outputs = []
+        for rows in (1, 10**9):
+            monkeypatch.setattr(ba, "CHUNK_ROWS", rows)
+            cameras, intrinsics, points, obs = make_scene(n_cams=9, seed=14, noise=0.8)
+            rng = np.random.default_rng(15)
+            for i in cameras:
+                dR = angle_axis_to_matrix(rng.normal(scale=1e-2, size=3))
+                cameras[i] = CameraPose(dR @ cameras[i].rotation, cameras[i].translation)
+            prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), BaOptions(**opts))
+            assert len(prob.chunks) == (1 if rows > len(obs) else prob.cam_rows[0] // 2 + 7)
+            report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions(**opts))
+            assert report.iterations > 1
+            outputs.append((report, cameras, points))
+        (rep1, cams1, pts1), (rep2, cams2, pts2) = outputs
+        assert rep1 == rep2
+        for c in cams1:
+            assert np.array_equal(cams1[c].rotation, cams2[c].rotation)
+            assert np.array_equal(cams1[c].translation, cams2[c].translation)
+        for j in pts1:
+            assert np.array_equal(pts1[j], pts2[j])
+
+    @pytest.mark.parametrize(
+        "cam_obs, size, bounds",
+        [
+            ([5, 9, 9, 20], 4, [(0, 4, 0, 0), (4, 5, 0, 0), (5, 9, 0, 1), (9, 20, 1, 3)]),
+            ([5, 9, 9, 20], 100, [(0, 20, 0, 3)]),
+            ([0, 3, 6, 6], 6, [(0, 6, 0, 3)]),
+            ([0, 3, 6, 6], 1, [(0, 3, 0, 1), (3, 6, 1, 3)]),
+            ([4, 4], 3, [(0, 3, 0, 0), (3, 4, 0, 1)]),
+        ],
+    )
+    def test_chunk_bounds(self, cam_obs, size, bounds):
+        """Fixed rows split anywhere, free cameras only whole; a camera
+        without rows at the end is in the last chunk."""
+        assert ba._chunks(np.array(cam_obs), size) == [
+            (slice(lo, hi), slice(c0, c1)) for lo, hi, c0, c1 in bounds
+        ]
+
+
 ORACLE_SCENES = {
     "gauge": BaOptions(),
     "fixed_cameras": BaOptions(fixed_camera_ids={0, 3}),
@@ -249,6 +294,22 @@ class TestSchurOracle:
     def test_step_over_several_bands_matches_reference(self, lam):
         prob = assert_step_matches_reference(70, BaOptions(fixed_camera_ids={10, 64}), lam)
         assert len(prob.free_cams) > ba.SCHUR_BAND_CAMERAS
+
+    def test_upper_triangle_equals_full_product(self):
+        """Each band multiplies only the block rows of W from its first
+        camera on; S's upper triangle and b equal the full product's."""
+        opts = BaOptions(fixed_camera_ids={3}, fixed_point_ids={0, 1})
+        cameras, intrinsics, points, obs = make_scene(n_cams=40, seed=11, noise=0.7)
+        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, opts)
+        ne = prob.normal_equations(r, v, p, valid)
+        assert len(ne.U) > 2 * ba.SCHUR_BAND_CAMERAS
+        Vinv = _inv_sym3(ne.V + 0.1 * np.eye(3))
+        S, b = _reduced_system(ne, ne.U, Vinv)
+        W = ne.W
+        Y = sp_sparse.bsr_matrix((W.data @ Vinv[W.indices], W.indices, W.indptr), shape=W.shape)
+        full = block_diag(*ne.U) - (W @ Y.T).T.toarray()
+        assert np.array_equal(np.triu(S), np.triu(full))
+        assert np.array_equal(b, ne.gc.reshape(-1) - Y @ ne.gp.reshape(-1))
 
     def test_indefinite_reduced_system_falls_back_to_least_squares(self, monkeypatch):
         cameras, intrinsics, points, obs = make_scene(seed=12, noise=0.7)
@@ -327,10 +388,10 @@ class TestPointBlockInverse:
         assert np.isnan(inv[5]).all()
 
 
-# traced peak of one iteration per observation, 25% over the 578 B measured
-# with the camera-sorted layout; the (n,6,6) stack and full W^T it replaced
-# measured 832 B
-PEAK_BYTES_PER_OBSERVATION = 578 * 1.25
+# traced peak of one iteration per observation, 25% over the 464 B measured
+# with residuals and Jacobians computed a chunk of cameras at a time; the
+# full-length per-observation stacks they replaced measured 578 B
+PEAK_BYTES_PER_OBSERVATION = 464 * 1.25
 
 
 class TestMemory:

@@ -1,5 +1,6 @@
 import ctypes
 import filecmp
+import gc
 import os
 from dataclasses import fields
 
@@ -21,7 +22,7 @@ from parsfm.pipeline import (
     write_ground_truth,
     write_synthetic,
 )
-from parsfm.matchgraph.dataset import write_dataset
+from parsfm.matchgraph.dataset import read_dataset, write_dataset
 from parsfm.matchgraph.retrieval import DEFAULT_INDEX_FEATURES
 from parsfm.pipeline import run as run_mod
 from parsfm.pipeline import synth as synth_mod
@@ -228,6 +229,10 @@ def _worker_openblas_threads(_):
     return os.getpid(), openblas_threads()
 
 
+def _freeze_count(_):
+    return gc.get_freeze_count()
+
+
 class TestRunPipeline:
     def test_completes_and_registers_most_images(self, tmp_path):
         ds, gt_path = small_dataset(tmp_path)
@@ -311,6 +316,55 @@ class TestRunPipeline:
             dataset_path=str(ds), output_dir="", cluster_max_size=8, worker_count=2
         ))
         assert openblas_threads() == parent
+
+    def test_pool_tasks_run_on_a_frozen_heap_that_the_parent_thaws(
+        self, tmp_path, monkeypatch
+    ):
+        before = gc.get_freeze_count()
+        with run_mod._worker_pool(2) as pool:
+            assert min(pool.map(_freeze_count, range(4), timeout=60)) > 0
+        assert gc.get_freeze_count() == before
+
+        real = run_mod.incremental_reconstruct
+
+        def frozen_only(*args):
+            if gc.get_freeze_count() == 0:
+                raise RuntimeError("heap not frozen")
+            return real(*args)
+
+        monkeypatch.setattr(run_mod, "incremental_reconstruct", frozen_only)
+        ds, _ = small_dataset(tmp_path)
+        out = tmp_path / "out"
+        run_pipeline(PipelineConfig(
+            dataset_path=str(ds), output_dir=str(out), cluster_max_size=8, worker_count=2
+        ))
+        assert "failed cluster" not in (out / "report.txt").read_text()
+        assert gc.get_freeze_count() == before
+
+        dataset = read_dataset(descriptor_dataset(tmp_path))
+        run_mod.build_graph(dataset, PipelineConfig(worker_count=2, top_k=5))
+        assert gc.get_freeze_count() == before
+
+    def test_pool_keeps_a_callers_frozen_heap(self):
+        gc.freeze()
+        try:
+            assert gc.get_freeze_count() > 0
+            with run_mod._worker_pool(2) as pool:
+                list(pool.map(_freeze_count, range(2), timeout=60))
+            # gc.unfreeze thaws everything, so any frozen object left shows
+            # the pool did not call it
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+
+    def test_payload_features_carry_no_descriptors(self, tmp_path):
+        dataset = read_dataset(descriptor_dataset(tmp_path))
+        subset = sorted(dataset.features)[:3]
+        _, features, *_ = run_mod._make_payload(subset, dataset, [], None, 0)
+        for i in subset:
+            assert dataset.features[i].descriptors.size
+            assert np.array_equal(features[i].keypoints, dataset.features[i].keypoints)
+            assert features[i].descriptors.size == 0
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_cluster_is_listed_not_fatal(self, tmp_path, monkeypatch, workers):
