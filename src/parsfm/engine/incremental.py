@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry import (
-    BaOptions,
     CameraPose,
     EstimationFailure,
     estimate_relative_pose,
@@ -131,21 +130,19 @@ class _Builder:
         self.X = np.zeros((len(tracks), 3))
         self.valid = np.zeros(len(tracks), dtype=bool)
         self.seq = np.zeros(len(tracks), dtype=np.int64)
-        self.poses = {}  # image_id -> CameraPose
-        self.order = []
+        self.order = []  # registered image ids, in registration order
         self.rng = np.random.default_rng(rng_seed)
         self.recon_id = recon_id
         self.seed_key = None  # set once a seed pair is chosen
 
     # -- helpers ---------------------------------------------------------
 
-    def _set_poses(self, poses):
-        self.poses.update(poses)
-        cam = np.searchsorted(self.images, list(poses))
+    def _register(self, img, pose):
+        cam = np.searchsorted(self.images, img)
         self.registered[cam] = True
-        self.K[cam] = [self.intrinsics[i].pinhole_terms for i in poses]
-        self.R[cam] = [pose.rotation for pose in poses.values()]
-        self.t[cam] = [pose.translation for pose in poses.values()]
+        self.K[cam] = self.intrinsics[img].pinhole_terms
+        self.R[cam], self.t[cam] = pose.rotation, pose.translation
+        self.order.append(img)
 
     def _image_rows(self, cam):
         return self.by_image[self.image_start[cam] : self.image_start[cam + 1]]
@@ -178,23 +175,19 @@ class _Builder:
         self.seq[new] = self.seq.max(initial=0) + 1 + np.arange(len(new))
 
     def _ba(self, cams, rows, fixed_cameras, max_iterations):
-        """BA of the cameras cams over the observation rows and their points."""
-        images = self.images[cams].tolist()
+        """BA of the sorted cameras cams, rows and their points; fixed_cameras indexes cams."""
         tracks = np.unique(self.obs_track[rows])
-        cameras = {i: self.poses[i] for i in images}
-        points = dict(zip(tracks.tolist(), self.X[tracks]))
-        obs = (self.images[self.obs_cam[rows]], self.obs_track[rows], self.obs_px[rows])
-        opts = BaOptions(max_iterations=max_iterations, fixed_camera_ids=set(fixed_cameras))
-        solve_bundle(cameras, {i: self.intrinsics[i] for i in images}, points, obs, opts)
-        self._set_poses(cameras)
-        self.X[tracks] = list(points.values())
+        R, t, X = self.R[cams], self.t[cams], self.X[tracks]
+        cam = np.searchsorted(cams, self.obs_cam[rows])
+        obs = cam, np.searchsorted(tracks, self.obs_track[rows]), self.obs_px[rows]
+        solve_bundle(R, t, self.K[cams], X, obs, fixed_cameras, (), max_iterations)
+        self.R[cams], self.t[cams], self.X[tracks] = R, t, X
 
     def _local_ba(self, cam):
         rows = self._usable_rows(self._seen_by(cam) & self.valid)
         if len(rows):
             cams = np.unique(self.obs_cam[rows])
-            fixed = self.images[cams[cams != cam]].tolist()
-            self._ba(cams, rows, fixed, LOCAL_BA_ITERATIONS)
+            self._ba(cams, rows, np.flatnonzero(cams != cam), LOCAL_BA_ITERATIONS)
 
     def _full_ba(self):
         """Every registered camera and every point, the observations in the
@@ -228,8 +221,8 @@ class _Builder:
             self.pairs, self.features, self.intrinsics, rng=self.rng, exclude=exclude
         )
         self.seed_key = (a, b)
-        self._set_poses({a: CameraPose.identity(), b: pose2})
-        self.order = [a, b]
+        self._register(a, CameraPose.identity())
+        self._register(b, pose2)
         self._triangulate(np.ones(len(self.valid), dtype=bool))
         if self.valid.sum() < MIN_RESECTION_CORRS:
             raise SeedFailure("seed pair yields too few triangulated points")
@@ -238,7 +231,7 @@ class _Builder:
 
     def run(self, exclude=frozenset()):
         self.initialize(exclude)
-        last_global = len(self.poses)
+        last_global = len(self.order)
         n = len(self.images)
         failed_at = np.full(n, -1)  # visible count at the last failure
         while True:
@@ -261,21 +254,19 @@ class _Builder:
             except EstimationFailure:
                 failed_at[cam] = visible[cam]
                 continue
-            self._set_poses({img: pose})
-            self.order.append(img)
+            self._register(img, pose)
             self._triangulate(self._seen_by(cam) & ~self.valid)
             self._local_ba(cam)
-            if len(self.poses) >= GROWTH_RATIO * last_global:
+            if len(self.order) >= GROWTH_RATIO * last_global:
                 self._global_ba()
-                last_global = len(self.poses)
+                last_global = len(self.order)
         self._global_ba()
         return self._finish()
 
     def _finish(self):
-        recon = Reconstruction(recon_id=self.recon_id)
-        for img in self.poses:
-            recon.cameras[img] = (self.intrinsics[img], self.poses[img])
-        recon.registered_order = list(self.order)
+        recon = Reconstruction(recon_id=self.recon_id, registered_order=list(self.order))
+        for img, cam in zip(self.order, np.searchsorted(self.images, self.order)):
+            recon.cameras[img] = (self.intrinsics[img], CameraPose(self.R[cam], self.t[cam]))
         rows = self._usable_rows(self.valid)
         tid, start, count = np.unique(self.obs_track[rows], return_index=True, return_counts=True)
         obs = list(zip(self.images[self.obs_cam[rows]].tolist(), self.obs_kp[rows].tolist()))

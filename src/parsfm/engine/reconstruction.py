@@ -8,7 +8,6 @@ from itertools import chain
 import numpy as np
 
 from ..geometry import (
-    BaOptions,
     BaReport,
     CameraPose,
     matrix_to_quaternion,
@@ -74,17 +73,25 @@ def keypoint_pixels(features, image, keypoint):
     return px
 
 
+def camera_arrays(recon: Reconstruction, images):
+    """Rotations (n,3,3), translations (n,3) and pinhole terms fx fy cx cy
+    (n,4) of the cameras of the image ids."""
+    cams = [recon.cameras[img] for img in images]
+    return (
+        np.array([pose.rotation for _, pose in cams]).reshape(-1, 3, 3),
+        np.array([pose.translation for _, pose in cams]).reshape(-1, 3),
+        np.array([intr.pinhole_terms for intr, _ in cams]).reshape(-1, 4),
+    )
+
+
 def observation_geometry(recon: Reconstruction, pids, features):
     """Every observation of the points pids, in that order: (index into pids
     (m,), camera rotations (m,3,3), translations (m,3), pinhole terms fx fy
     cx cy (m,4), keypoint pixels (m,2))."""
     owner, image, keypoint = observation_arrays(recon, pids)
     images, slot = np.unique(image, return_inverse=True)
-    cams = [recon.cameras[img] for img in images.tolist()]
-    R = np.array([pose.rotation for _, pose in cams]).reshape(-1, 3, 3)[slot]
-    t = np.array([pose.translation for _, pose in cams]).reshape(-1, 3)[slot]
-    K = np.array([intr.pinhole_terms for intr, _ in cams]).reshape(-1, 4)[slot]
-    return owner, R, t, K, keypoint_pixels(features, image, keypoint)
+    R, t, K = camera_arrays(recon, images.tolist())
+    return owner, R[slot], t[slot], K[slot], keypoint_pixels(features, image, keypoint)
 
 
 def mean_reprojection_error(recon: Reconstruction, features) -> float:
@@ -118,31 +125,34 @@ def validate_reconstruction(recon: Reconstruction, features=None) -> None:
             raise ValueError("mean reprojection error is not finite")
 
 
-def bundle_adjust(recon: Reconstruction, features, opts: BaOptions = None, anchors=()) -> BaReport:
+def bundle_adjust(recon: Reconstruction, features, anchors=()) -> BaReport:
     """Refine all poses and points of the reconstruction in place.
 
-    anchors: extra points (point id, xyz, [(image id, pixel)]) that join the
-    problem with their observations in registered images, such as ground
-    control; opts.fixed_point_ids holds them in place.
+    anchors: extra points (point id, xyz, [(image id, pixel)]), such as
+    ground control, held fixed; they join the problem with their
+    observations in registered images. Their ids are negative, so in id
+    order they come before every point.
     """
-    cameras = {i: pose for i, (_, pose) in recon.cameras.items()}
-    intrinsics = {i: intr for i, (intr, _) in recon.cameras.items()}
-    points = {p: xyz for p, (xyz, _) in recon.points.items()}
-    points.update({pid: xyz for pid, xyz, _ in anchors})
-    extra = [(img, pid, *px) for pid, _, obs in anchors for img, px in obs if img in cameras]
-    extra = np.array(extra, dtype=float).reshape(-1, 4)  # image, point, pixel
-    pids = sorted(recon.points)
+    images, pids = sorted(recon.cameras), sorted(recon.points)
+    R, t, K = camera_arrays(recon, images)
+    fixed = np.argsort(np.argsort([pid for pid, _, _ in anchors]))  # row of each anchor
+    X = np.empty((len(anchors) + len(pids), 3))
+    X[fixed] = np.reshape([xyz for _, xyz, _ in anchors], (-1, 3))
+    X[len(anchors) :] = np.reshape([recon.points[p][0] for p in pids], (-1, 3))
+    extra = [(img, row, *px) for row, (_, _, obs) in zip(fixed, anchors) for img, px in obs]
+    extra = [e for e in extra if e[0] in recon.cameras]  # image, point row, pixel
+    extra = np.array(extra, dtype=float).reshape(-1, 4)
     owner, image, keypoint = observation_arrays(recon, pids)
     observations = (
-        np.concatenate([image, extra[:, 0].astype(np.int64)]),
-        np.concatenate([np.array(pids, dtype=np.int64)[owner], extra[:, 1].astype(np.int64)]),
+        np.searchsorted(images, np.concatenate([image, extra[:, 0].astype(np.int64)])),
+        np.concatenate([len(anchors) + owner, extra[:, 1].astype(np.int64)]),
         np.vstack([keypoint_pixels(features, image, keypoint), extra[:, 2:]]),
     )
-    report = solve_bundle(cameras, intrinsics, points, observations, opts or BaOptions())
-    for i, pose in cameras.items():
-        recon.cameras[i] = (intrinsics[i], pose)
-    for p, (_, track) in recon.points.items():
-        recon.points[p] = (np.asarray(points[p], dtype=float), track)
+    report = solve_bundle(R, t, K, X, observations, fixed_points=fixed)
+    for k, img in enumerate(images):
+        recon.cameras[img] = (recon.cameras[img][0], CameraPose(R[k], t[k]))
+    for p, xyz in zip(pids, X[len(anchors) :]):
+        recon.points[p] = (xyz, recon.points[p][1])
     return report
 
 
@@ -173,26 +183,32 @@ def read_reconstruction(path, intrinsics, recon_id: int = 0) -> Reconstruction:
             if not tok:
                 continue
             kind, where = tok[0], f"{path}:{lineno}"
+            xyz = None
             try:
                 if kind == "POINT" and len(tok) >= 6 and len(tok) == 6 + 2 * int(tok[5]):
                     pid, ids = int(tok[1]), [int(v) for v in tok[6:]]
                     xyz = np.array([float(v) for v in tok[2:5]])
-                    recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
-                    continue
                 if kind == "CAMERA" and len(tok) == 9:
                     img, q = int(tok[1]), np.array([float(v) for v in tok[2:6]])
-                    t = [float(v) for v in tok[6:9]]
+                    xyz = np.array([float(v) for v in tok[6:9]])
             except ValueError:
                 raise ValueError(f"{where}: non-numeric field in {kind} record") from None
             if kind not in ("CAMERA", "POINT"):
                 raise ValueError(f"{where}: unknown record type {kind!r}")
+            if xyz is None:
+                rule = ", not 5 + 2 * n_obs" if kind == "POINT" else ""
+                raise ValueError(f"{where}: {kind} record with {len(tok) - 1} fields{rule}")
+            if not np.isfinite(xyz).all():
+                raise ValueError(f"{where}: non-finite coordinate in {kind} record")
             if kind == "POINT":
-                n = len(tok) - 1
-                raise ValueError(f"{where}: POINT record with {n} fields, not 5 + 2 * n_obs")
-            if len(tok) != 9:
-                raise ValueError(f"{where}: CAMERA record with {len(tok) - 1} fields")
+                recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
+                continue
             if img not in intrinsics:
                 raise ValueError(f"{where}: CAMERA of image {img} with no intrinsics")
-            recon.cameras[img] = (intrinsics[img], CameraPose(quaternion_to_matrix(q), t))
+            if img in recon.cameras:
+                raise ValueError(f"{where}: repeated CAMERA of image {img}")
+            if not (np.isfinite(q).all() and q.any()):
+                raise ValueError(f"{where}: CAMERA quaternion is zero or not finite")
+            recon.cameras[img] = (intrinsics[img], CameraPose(quaternion_to_matrix(q), xyz))
             recon.registered_order.append(img)
     return recon

@@ -17,7 +17,7 @@ from .ransac import (
 )
 from .twoview import estimate_relative_pose, triangulate
 from .resection import resect_camera
-from .ba import BaOptions, BaReport, solve_bundle
+from .ba import BaReport, solve_bundle
 from .similarity import SimilarityTransform, umeyama_similarity
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "CameraPose",
     "DegenerateGeometryError",
     "EstimationFailure",
-    "BaOptions",
     "BaReport",
     "RANSAC_CONFIDENCE",
     "SimilarityTransform",

@@ -19,13 +19,13 @@ transform, so it never changes the cost).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse as sp_sparse
 from scipy.linalg import cho_factor, cho_solve
 
-from .camera import CameraPose, angle_axis_to_matrix, pinhole, project_rotation, skew
+from .camera import angle_axis_to_matrix, pinhole, project_rotation, skew
 
 # penalty cost for an observation whose point falls behind the camera
 _BEHIND_PENALTY = 1e12
@@ -40,17 +40,6 @@ SCHUR_BAND_CAMERAS = 16
 # observations per chunk of the residual and Jacobian kernels; a chunk holds
 # whole cameras, so one camera with more observations is a chunk of its own
 CHUNK_ROWS = 4096
-
-
-@dataclass
-class BaOptions:
-    max_iterations: int = 50
-    fixed_point_ids: set = field(default_factory=set)
-    fixed_camera_ids: set = field(default_factory=set)
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -78,35 +67,25 @@ class _Normal:
 
 
 class _Problem:
-    def __init__(self, cameras, intrinsics, points, observations, opts: BaOptions):
-        self.cam_ids = sorted(cameras)
-        self.pt_ids = sorted(points)
-        obs_img, obs_pid, obs_xy = observations
-        cam_ids, pt_ids = np.array(self.cam_ids), np.array(self.pt_ids)
-        obs_cam = np.minimum(np.searchsorted(cam_ids, obs_img), len(cam_ids) - 1)
-        obs_pt = np.minimum(np.searchsorted(pt_ids, obs_pid), len(pt_ids) - 1)
-        unknown = (cam_ids[obs_cam] != obs_img) | (pt_ids[obs_pt] != obs_pid)
-        if unknown.any():
-            k = int(np.argmax(unknown))
-            raise KeyError(
-                f"observation references unknown camera/point ({obs_img[k]}, {obs_pid[k]})"
-            )
-        self.R = np.array([cameras[c].rotation for c in self.cam_ids])
-        self.t = np.array([cameras[c].translation for c in self.cam_ids])
-        self.X = np.array([points[p] for p in self.pt_ids], dtype=float)
-        cams = np.hstack([self.R.reshape(-1, 9), self.t])
-        for kind, ids, values in (("camera", self.cam_ids, cams), ("point", self.pt_ids, self.X)):
+    def __init__(self, R, t, K, X, observations, fixed_cameras, fixed_points):
+        obs_cam, obs_pt, obs_xy = (np.asarray(a) for a in observations)
+        n, m = len(R), len(X)
+        outside = (obs_cam < 0) | (obs_cam >= n) | (obs_pt < 0) | (obs_pt >= m)
+        if outside.any():
+            k = int(np.argmax(outside))
+            c, p = obs_cam[k], obs_pt[k]
+            raise IndexError(f"observation {k} names camera {c} of {n}, point {p} of {m}")
+        self.R, self.t, self.X = R, t, X
+        for kind, values in (("camera", np.hstack([R.reshape(-1, 9), t])), ("point", X)):
             finite = np.isfinite(values).all(axis=1)
             if not finite.all():
-                raise ValueError(f"{kind} {ids[int(np.argmin(finite))]} is not finite")
-        K = np.array([intrinsics[c].pinhole_terms for c in self.cam_ids], dtype=float)
-        self.fx, self.fy, self.cx, self.cy = K.reshape(-1, 4).T
+                raise ValueError(f"{kind} {int(np.argmin(finite))} is not finite")
+        self.fx, self.fy, self.cx, self.cy = np.asarray(K, dtype=float).reshape(-1, 4).T
 
-        fixed_cams = set(opts.fixed_camera_ids)
-        if self.cam_ids and not fixed_cams and not opts.fixed_point_ids:
-            fixed_cams.add(self.cam_ids[0])  # gauge
-        self.free_cams, self.cam_slot = _free_slots(self.cam_ids, fixed_cams)
-        self.free_pts, self.pt_slot = _free_slots(self.pt_ids, opts.fixed_point_ids)
+        if not len(fixed_cameras) and not len(fixed_points):
+            fixed_cameras = [0]  # gauge
+        self.free_cams, self.cam_slot = _free_slots(n, fixed_cameras)
+        self.free_pts, self.pt_slot = _free_slots(m, fixed_points)
 
         # the one layout: observations in (camera slot, point slot) order, a
         # stable sort; fixed cameras (slot -1) come first
@@ -220,13 +199,12 @@ class _Problem:
         return R, t, X
 
 
-def _free_slots(ids, fixed):
-    """Indices of the ids not in `fixed`, and the dense slot of each id in
-    the parameter vector (-1 if fixed)."""
-    free = np.flatnonzero(~np.isin(ids, list(fixed)))
-    slot = np.full(len(ids), -1, dtype=int)
-    slot[free] = np.arange(len(free))
-    return free, slot
+def _free_slots(n, fixed):
+    """The indices below n not in `fixed`, and the dense slot of each index
+    in the parameter vector (-1 if fixed)."""
+    free = np.ones(n, dtype=bool)
+    free[list(fixed)] = False
+    return np.flatnonzero(free), np.where(free, np.cumsum(free) - 1, -1)
 
 
 def _chunks(cam_obs, size):
@@ -351,20 +329,26 @@ def _solve_schur(ne: _Normal, lam):
     return dc.reshape(nc, 6), dp
 
 
-def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> BaReport:
+def solve_bundle(
+    R, t, K, X, observations, fixed_cameras=(), fixed_points=(), max_iterations=50
+) -> BaReport:
     """Jointly refine camera poses and 3D points in place.
 
-    cameras: dict image_id -> CameraPose (mutated)
-    intrinsics: dict image_id -> CameraIntrinsics (never touched)
-    points: dict point_id -> 3-vector (mutated)
-    observations: three aligned arrays, image ids (m,), point ids (m,) and
-    pixels (m,2)
-    An observation naming an unknown camera or point raises KeyError, and a
-    pose or point that is not finite ValueError, naming the id.
+    R (n,3,3), t (n,3): camera poses, refined in place
+    K (n,4): pinhole terms fx fy cx cy of each camera (never touched)
+    X (m,3): points, refined in place
+    observations: three aligned arrays, camera indices (k,), point indices
+    (k,) and pixels (k,2)
+    fixed_cameras, fixed_points: indices held constant
+    An observation whose index is out of range raises IndexError naming the
+    observation, and a pose or point that is not finite ValueError naming
+    its index.
     """
-    if not len(observations[2]) or not cameras or not points:
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
+    if not len(observations[2]) or not len(R) or not len(X):
         return BaReport()
-    prob = _Problem(cameras, intrinsics, points, observations, opts)
+    prob = _Problem(R, t, K, X, observations, fixed_cameras, fixed_points)
     r, valid, cost, v, p = prob.residuals(prob.R, prob.t, prob.X)
     report = BaReport(
         initial_mean_error=_mean_error(r, valid),
@@ -372,19 +356,9 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
         converged=False,
     )
 
-    if len(prob.free_cams) == 0 and len(prob.free_pts) == 0:
-        report.final_mean_error = report.initial_mean_error
-        report.final_cost = cost
-        report.converged = True
-        return report
-
     # remember the gauge baseline before optimizing; callers that fix
     # cameras/points themselves have anchored the gauge already
-    fix_scale = (
-        not opts.fixed_point_ids
-        and not opts.fixed_camera_ids
-        and len(prob.cam_ids) >= 2
-    )
+    fix_scale = not len(fixed_points) and not len(fixed_cameras) and len(R) >= 2
     if fix_scale:
         C = _centers(prob.R[:2], prob.t[:2])
         baseline0 = float(np.linalg.norm(C[1] - C[0]))
@@ -392,7 +366,7 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
 
     lam = 1e-4
     it = 0
-    while it < opts.max_iterations:
+    while it < max_iterations:
         it += 1
         ne = None  # release the previous linearization before building the next
         ne = prob.normal_equations(r, v, p, valid)
@@ -447,8 +421,5 @@ def solve_bundle(cameras, intrinsics, points, observations, opts: BaOptions) -> 
     report.final_cost = cost
     report.final_mean_error = _mean_error(r, valid)
 
-    for i, cid in enumerate(prob.cam_ids):
-        cameras[cid] = CameraPose(prob.R[i], prob.t[i])
-    for i, pid in enumerate(prob.pt_ids):
-        points[pid] = prob.X[i].copy()
+    R[...], t[...], X[...] = prob.R, prob.t, prob.X
     return report

@@ -10,7 +10,7 @@ Sections (any order, one record per line):
 A dataset may carry MATCH records instead of DESC records, in which case
 retrieval and verification are bypassed downstream. Every keypoint of an
 image with DESC records has one, all of one dimension; IMAGE records need
-the INTRINSICS record.
+the INTRINSICS record, and KEYPOINT records the IMAGE record of their image.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ def read_dataset(path) -> Dataset:
     keypoints = {}
     descs = {}  # image id -> {keypoint index: (values, line)}
     matches = {}
-    shared_k = first_image = dim = None
+    image_line = {}  # image id -> line of its IMAGE record
+    shared_k = dim = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             tok = line.split()
@@ -106,8 +107,7 @@ def read_dataset(path) -> Dataset:
                     )
                     continue
                 if kind == "INTRINSICS" and len(tok) == 5:
-                    shared_k = tuple(float(v) for v in tok[1:])
-                    continue
+                    record = shared_k = tuple(float(v) for v in tok[1:])
                 if kind == "IMAGE" and len(tok) == 4:
                     record = int(tok[1]), int(tok[2]), int(tok[3])
                 elif kind == "DESC" and len(tok) > 3:
@@ -118,19 +118,32 @@ def read_dataset(path) -> Dataset:
                 if kind not in ("INTRINSICS", "IMAGE", "KEYPOINT", "DESC", "MATCH"):
                     raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
                 raise ValueError(f"{path}:{lineno}: {kind} record with {len(tok) - 1} fields")
-            iid = record[0]
-            if kind == "IMAGE":
-                if iid < 0 or iid in metas:
-                    raise ValueError(f"{path}:{lineno}: negative or duplicate IMAGE id {iid}")
-                metas[iid] = ImageMeta(*record)
-                first_image = first_image or lineno
-                continue
-            dim = len(record[2]) if dim is None else dim
-            if len(record[2]) != dim:
-                raise ValueError(f"{path}:{lineno}: DESC of dimension {len(record[2])}, not {dim}")
-            descs.setdefault(iid, {})[record[1]] = (record[2], lineno)
-    if metas and shared_k is None:
-        raise ValueError(f"{path}:{first_image}: IMAGE records with no INTRINSICS record")
+            try:
+                if kind == "INTRINSICS":
+                    if not np.isfinite(shared_k).all():
+                        raise ValueError("non-finite value in INTRINSICS record")
+                    CameraIntrinsics(*shared_k, np.inf, np.inf)  # IMAGE records set the bounds
+                elif kind == "IMAGE":
+                    iid = record[0]
+                    if iid < 0 or iid in metas:
+                        raise ValueError(f"negative or duplicate IMAGE id {iid}")
+                    metas[iid] = ImageMeta(*record)
+                    image_line[iid] = lineno
+                else:
+                    dim = len(record[2]) if dim is None else dim
+                    if len(record[2]) != dim:
+                        raise ValueError(f"DESC of dimension {len(record[2])}, not {dim}")
+                    descs.setdefault(record[0], {})[record[1]] = (record[2], lineno)
+            except ValueError as exc:  # a record these checks or ImageMeta reject
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    intrinsics = {}
+    for iid, m in metas.items():  # in the order of their IMAGE records
+        try:
+            if shared_k is None:
+                raise ValueError("IMAGE records with no INTRINSICS record")
+            intrinsics[iid] = CameraIntrinsics(*shared_k, m.width, m.height)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{image_line[iid]}: {exc}") from None
 
     features = {}
     for iid, dmap in descs.items():
@@ -143,10 +156,18 @@ def read_dataset(path) -> Dataset:
             line = _keypoint_line(path, iid, idx)
             raise ValueError(f"{path}:{line}: KEYPOINT {idx} of image {iid} has no DESC")
     for iid, kps in keypoints.items():
+        if iid not in metas:
+            line = _keypoint_line(path, iid, 0)
+            raise ValueError(f"{path}:{line}: KEYPOINT of image {iid} with no IMAGE record")
+        kps = np.array(kps, dtype=float)
+        finite = np.isfinite(kps).all(axis=1)
+        if not finite.all():
+            line = _keypoint_line(path, iid, int(np.argmin(finite)))
+            raise ValueError(f"{path}:{line}: non-finite value in KEYPOINT record")
         desc = np.zeros((len(kps), dim if iid in descs else 0))
         for idx, (v, _) in descs.get(iid, {}).items():
             desc[idx] = v
-        features[iid] = FeatureSet(iid, np.array(kps, dtype=float), desc)
+        features[iid] = FeatureSet(iid, kps, desc)
     # an image without keypoints gets an empty feature set as wide as the rest
     for iid in sorted(metas.keys() - features.keys()):
         features[iid] = FeatureSet(iid, np.zeros((0, 3)), np.zeros((0, dim or 0)))
@@ -163,5 +184,4 @@ def read_dataset(path) -> Dataset:
                 raise ValueError(f"{path}:{line}: MATCH keypoint {kp} not in image {img}")
         pairs.append(MatchPair(a, b, m[:, :2].copy()))
 
-    intrinsics = {iid: CameraIntrinsics(*shared_k, m.width, m.height) for iid, m in metas.items()}
     return Dataset(metas=metas, features=features, pairs=pairs, intrinsics=intrinsics)

@@ -94,12 +94,6 @@ class MatchGraph:
         self.vertices.add(b)
         self.edges[(min(a, b), max(a, b))] = (float(weight), pair)
 
-    def weight(self, a: int, b: int) -> float:
-        return self.edges[(min(a, b), max(a, b))][0]
-
-    def pair(self, a: int, b: int):
-        return self.edges[(min(a, b), max(a, b))][1]
-
     def adjacency(self) -> dict:
         adj = {v: [] for v in self.vertices}
         for (a, b), (w, _) in self.edges.items():

@@ -12,7 +12,6 @@ import numpy as np
 
 from ..engine import Reconstruction, bundle_adjust
 from ..geometry import (
-    BaOptions,
     DegenerateGeometryError,
     EstimationFailure,
     triangulate,
@@ -73,6 +72,8 @@ def read_gcps(path):
             except ValueError:
                 raise ValueError(f"{where}: non-numeric field in {kind} record") from None
             if kind == "GCP":
+                if gid in gcps:
+                    raise ValueError(f"{where}: repeated GCP id {gid}")
                 try:
                     gcps[gid] = GcpRecord(gid, values, [], tok[5])
                 except ValueError as exc:  # an unknown role
@@ -150,8 +151,7 @@ def georeference(model: Reconstruction, gcps, features):
     # constrained BA: control coordinates are fixed anchors with their own
     # image observations; negative ids keep them clear of scene points
     anchors = [(-1 - g.gcp_id, g.world.copy(), g.observations) for g in usable]
-    fixed = {pid for pid, _, _ in anchors}
-    bundle_adjust(geo, features, BaOptions(fixed_point_ids=fixed), anchors)
+    bundle_adjust(geo, features, anchors)
 
     report = GeoReport()
     for g in checks:

@@ -7,12 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..engine import Track, bundle_adjust, mean_reprojection_error
-from ..geometry import BaOptions, CameraPose, SimilarityTransform
+from ..geometry import CameraPose, SimilarityTransform
 from .common import feature_point_index, find_common_points
 from .correspond import MatchTable, build_correspondence_graph, strategy_match_counts
 from .ransac import DEFAULT_MERGE_THRESHOLD_PX, MergeFailure, ransac_similarity
-
-FINAL_BA_ITERATIONS = 50
 
 
 @dataclass
@@ -184,6 +182,6 @@ def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions 
 
     del table  # the final BA sets the peak memory
     report.error_before_final_ba = mean_reprojection_error(model, features)
-    bundle_adjust(model, features, BaOptions(max_iterations=FINAL_BA_ITERATIONS))
+    bundle_adjust(model, features)
     report.error_after_final_ba = mean_reprojection_error(model, features)
     return model, report

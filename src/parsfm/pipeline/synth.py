@@ -20,6 +20,8 @@ from ..matchgraph.dataset import Dataset, write_dataset
 from ..merge import GcpRecord, write_gcps
 
 _F = "%.17g"
+# tokens of each ground-truth record, its name included
+_GT_TOKENS = {"GTCAM": 9, "GTPOINT": 5}
 FLYING_HEIGHT = 80.0  # meters above the ground patch
 RIG_PITCH_DEG = 45.0  # outward pitch of the four oblique views of a rig
 IMAGE_WIDTH, IMAGE_HEIGHT = 1200, 900  # pixels
@@ -282,23 +284,29 @@ def write_ground_truth(path, ground_truth) -> None:
 
 
 def read_ground_truth(path):
+    """Inverse of write_ground_truth. A malformed record raises ValueError
+    starting with its 'path:line'."""
     from ..geometry import quaternion_to_matrix
 
-    poses = {}
-    points = {}
+    poses, points = {}, {}
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             tok = line.split()
             if not tok:
                 continue
-            if tok[0] == "GTCAM":
-                q = np.array([float(v) for v in tok[2:6]])
-                t = np.array([float(v) for v in tok[6:9]])
-                poses[int(tok[1])] = CameraPose(quaternion_to_matrix(q), t)
-            elif tok[0] == "GTPOINT":
-                points[int(tok[1])] = np.array([float(v) for v in tok[2:5]])
+            kind, where = tok[0], f"{path}:{lineno}"
+            if kind not in _GT_TOKENS:
+                raise ValueError(f"{where}: unknown record type {kind!r}")
+            if len(tok) != _GT_TOKENS[kind]:
+                raise ValueError(f"{where}: {kind} record with {len(tok) - 1} fields")
+            try:
+                key, values = int(tok[1]), np.array([float(v) for v in tok[2:]])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {kind} record") from None
+            if kind == "GTCAM":
+                poses[key] = CameraPose(quaternion_to_matrix(values[:4]), values[4:])
             else:
-                raise ValueError(f"unknown record {tok[0]!r}")
+                points[key] = values
     return {"poses": poses, "points": points}
 
 

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 
-from parsfm.geometry import CameraIntrinsics, CameraPose
+from parsfm.geometry import CameraIntrinsics, CameraPose, solve_bundle
 from parsfm.graphalgo import connected_components
 
 
@@ -233,13 +233,43 @@ def common_points_reference(source, reference, pairs):
     return out_pairs, support, loaded
 
 
-def ba_arrays(observations):
-    """A list of (image id, point id, pixel) as the three aligned arrays that
-    `solve_bundle` takes: image ids (m,), point ids (m,), pixels (m,2)."""
-    image = np.array([c for c, _, _ in observations], dtype=np.int64)
-    point = np.array([p for _, p, _ in observations], dtype=np.int64)
-    pixels = np.array([xy for _, _, xy in observations], dtype=float).reshape(-1, 2)
-    return image, point, pixels
+def ba_arrays(cameras, intrinsics, points, observations, fixed_cameras=(), fixed_points=()):
+    """A dict scene (image id -> CameraPose, image id -> CameraIntrinsics,
+    point id -> xyz, a list of (image id, point id, pixel)) and id sets to
+    fix, as the positional arguments of `solve_bundle` and `_Problem`: R, t,
+    K, X in sorted-id order, the observations as (camera indices, point
+    indices, pixels), and the fixed cameras' and points' indices."""
+    cam_ids, pt_ids = sorted(cameras), sorted(points)
+    cam_index = {c: k for k, c in enumerate(cam_ids)}
+    pt_index = {p: k for k, p in enumerate(pt_ids)}
+    R = np.array([cameras[c].rotation for c in cam_ids], dtype=float).reshape(-1, 3, 3)
+    t = np.array([cameras[c].translation for c in cam_ids], dtype=float).reshape(-1, 3)
+    K = np.array([intrinsics[c].pinhole_terms for c in cam_ids], dtype=float).reshape(-1, 4)
+    X = np.array([points[p] for p in pt_ids], dtype=float).reshape(-1, 3)
+    obs = (
+        np.array([cam_index[c] for c, _, _ in observations], dtype=np.int64),
+        np.array([pt_index[p] for _, p, _ in observations], dtype=np.int64),
+        np.array([xy for _, _, xy in observations], dtype=float).reshape(-1, 2),
+    )
+    return (
+        R, t, K, X, obs,
+        sorted(cam_index[c] for c in fixed_cameras),
+        sorted(pt_index[p] for p in fixed_points),
+    )
+
+
+def solve_dicts(cameras, intrinsics, points, observations, fixed_cameras=(), fixed_points=(),
+                max_iterations=50):
+    """`solve_bundle` on a dict scene through `ba_arrays`; the refined poses
+    and points are written back into `cameras` and `points`."""
+    args = ba_arrays(cameras, intrinsics, points, observations, fixed_cameras, fixed_points)
+    report = solve_bundle(*args, max_iterations=max_iterations)
+    R, t, _, X = args[:4]
+    for k, c in enumerate(sorted(cameras)):
+        cameras[c] = CameraPose(R[k], t[k])
+    for k, p in enumerate(sorted(points)):
+        points[p] = X[k]
+    return report
 
 
 def triangulate_reference(observations, min_tri_angle_deg, max_error_px=np.inf):

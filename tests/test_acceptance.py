@@ -18,11 +18,9 @@ import pytest
 from parsfm.engine import EngineOptions, incremental_reconstruct
 from parsfm.engine.reconstruction import mean_reprojection_error
 from parsfm.geometry import (
-    BaOptions,
     CameraPose,
     SimilarityTransform,
     angle_axis_to_matrix,
-    solve_bundle,
     umeyama_similarity,
 )
 from parsfm.geometry.ba import _Problem
@@ -45,7 +43,7 @@ from parsfm.pipeline import (
     write_synthetic,
 )
 
-from helpers import ba_arrays, make_scene, mcds_reference, random_rotation
+from helpers import ba_arrays, make_scene, mcds_reference, random_rotation, solve_dicts
 from test_merge import gt_reconstruction, random_similarity, transform_recon
 
 
@@ -247,7 +245,7 @@ class TestBundleAdjustment:
 
     def test_jacobian_and_perturbation_recovery(self, capsys):
         cameras, intrinsics, points, obs = self._scene(31)
-        prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs))
         r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
         A, B = prob.jacobians(v, p, valid)
         rng = np.random.default_rng(32)
@@ -288,7 +286,7 @@ class TestBundleAdjustment:
             )
         for j in points:
             points[j] = points[j] + rng.normal(scale=1e-2, size=3)
-        ba = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions(max_iterations=100))
+        ba = solve_dicts(cameras, intrinsics, points, obs, max_iterations=100)
         report(
             capsys,
             "bundle adjustment",

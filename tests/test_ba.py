@@ -5,12 +5,12 @@ import pytest
 from scipy import sparse as sp_sparse
 from scipy.linalg import block_diag
 
-from parsfm.geometry import BaOptions, BaReport, CameraPose, project, solve_bundle
+from parsfm.geometry import BaReport, CameraPose, project, solve_bundle
 from parsfm.geometry import ba
 from parsfm.geometry.ba import _inv_sym3, _Problem, _reduced_system, _solve_schur
 from parsfm.geometry.camera import angle_axis_to_matrix
 
-from helpers import ba_arrays, call_with_deadline, default_intrinsics, ring_cameras
+from helpers import ba_arrays, call_with_deadline, default_intrinsics, ring_cameras, solve_dicts
 
 
 def make_scene(n_cams=6, n_pts=40, seed=0, noise=0.0):
@@ -95,8 +95,8 @@ def schur_reference(prob, A, B, r, lam):
     return dc, dp, S
 
 
-def linearized(cameras, intrinsics, points, obs, opts):
-    prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), opts)
+def linearized(cameras, intrinsics, points, obs, **fixed):
+    prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs, **fixed))
     r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
     return prob, r, valid, v, p
 
@@ -113,8 +113,7 @@ class TestJacobian:
         cameras, intrinsics, points, obs = make_scene(seed=3)
         rng = np.random.default_rng(5)
         pick = rng.choice(len(obs), 20, replace=False)
-        opts = BaOptions()
-        prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), opts)
+        prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs))
         r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
         A, B = prob.jacobians(v, p, valid)
         h = 1e-6
@@ -155,7 +154,7 @@ class TestJacobian:
 class TestSolveBundle:
     def test_noiseless_optimum_is_fixed_point(self):
         cameras, intrinsics, points, obs = make_scene()
-        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        report = solve_dicts(cameras, intrinsics, points, obs)
         assert report.final_mean_error < 1e-9
         assert report.iterations <= 1
         assert report.converged
@@ -169,17 +168,16 @@ class TestSolveBundle:
             dR = angle_axis_to_matrix(rng.normal(scale=1e-3, size=3))
             cameras[i] = CameraPose(dR @ cameras[i].rotation,
                                     cameras[i].translation + rng.normal(scale=1e-3, size=3))
-        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs),
-                              BaOptions(max_iterations=100))
+        report = solve_dicts(cameras, intrinsics, points, obs, max_iterations=100)
         assert report.final_mean_error < 1e-6
 
     def test_cost_never_increases(self):
         cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
-        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        report = solve_dicts(cameras, intrinsics, points, obs)
         assert report.final_cost <= report.initial_cost + 1e-9
 
     def test_empty_problem_noop(self):
-        report = solve_bundle({}, {}, {}, ba_arrays([]), BaOptions())
+        report = solve_dicts({}, {}, {}, [])
         assert isinstance(report, BaReport)
         assert report.iterations == 0
 
@@ -187,8 +185,7 @@ class TestSolveBundle:
         cameras, intrinsics, points, obs = make_scene(seed=6, noise=0.5)
         frozen = {0, 1, 2}
         before = {j: points[j].copy() for j in frozen}
-        solve_bundle(cameras, intrinsics, points, ba_arrays(obs),
-                     BaOptions(fixed_point_ids=frozen))
+        solve_dicts(cameras, intrinsics, points, obs, fixed_points=frozen)
         for j in frozen:
             assert np.array_equal(points[j], before[j])
 
@@ -196,22 +193,37 @@ class TestSolveBundle:
         cameras, intrinsics, points, obs = make_scene(seed=7, noise=0.5)
         pose0 = cameras[0].copy()
         d0 = np.linalg.norm(cameras[1].center() - cameras[0].center())
-        solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        solve_dicts(cameras, intrinsics, points, obs)
         assert np.allclose(cameras[0].rotation, pose0.rotation)
         assert np.allclose(cameras[0].translation, pose0.translation)
         d1 = np.linalg.norm(cameras[1].center() - cameras[0].center())
         assert abs(d1 - d0) < 1e-9 * max(d0, 1.0)
 
     def test_unknown_reference_raises(self):
-        cameras, intrinsics, points, obs = make_scene(n_cams=2, n_pts=4)
-        obs.append((99, 0, np.zeros(2)))
-        obs.append((0, 77, np.zeros(2)))
-        with pytest.raises(KeyError, match=r"unknown camera/point \(99, 0\)"):
-            solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        R, t, K, X, (cam, pt, px), _, _ = ba_arrays(*make_scene(n_cams=2, n_pts=4))
+        cam, pt = np.append(cam, [99, 0]), np.append(pt, [0, 77])
+        px = np.vstack([px, np.zeros((2, 2))])
+        with pytest.raises(IndexError, match=r"^observation 8 names camera 99 of 2, point 0 of 4$"):
+            solve_bundle(R, t, K, X, (cam, pt, px))
+
+    def test_everything_fixed_is_a_no_op(self):
+        cameras, intrinsics, points, obs = make_scene(seed=9, noise=0.5)
+        args = ba_arrays(cameras, intrinsics, points, obs, set(cameras), set(points))
+        before = [a.copy() for a in args[:4]]
+        report = solve_bundle(*args)
+        assert report.iterations == 0 and report.converged
+        assert report.final_cost == report.initial_cost > 0
+        assert report.final_mean_error == report.initial_mean_error
+        for a, b in zip(args[:4], before):
+            assert np.array_equal(a, b)
+
+    def test_zero_iterations_rejected(self):
+        with pytest.raises(ValueError):
+            solve_dicts(*make_scene(), max_iterations=0)
 
     def test_report_mean_error_matches_independent_computation(self):
         cameras, intrinsics, points, obs = make_scene(seed=8, noise=0.8)
-        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        report = solve_dicts(cameras, intrinsics, points, obs)
         assert abs(report.final_mean_error
                    - mean_reproj(cameras, intrinsics, points, obs)) < 1e-9
 
@@ -220,7 +232,7 @@ class TestChunks:
     def test_one_camera_per_chunk_equals_one_chunk(self, monkeypatch):
         """Residuals and Jacobians walked a camera at a time give the same
         bits as one chunk over all rows, with fixed cameras and points."""
-        opts = dict(fixed_camera_ids={0, 3}, fixed_point_ids={2, 7, 11})
+        fixed = dict(fixed_cameras={0, 3}, fixed_points={2, 7, 11})
         outputs = []
         for rows in (1, 10**9):
             monkeypatch.setattr(ba, "CHUNK_ROWS", rows)
@@ -229,9 +241,9 @@ class TestChunks:
             for i in cameras:
                 dR = angle_axis_to_matrix(rng.normal(scale=1e-2, size=3))
                 cameras[i] = CameraPose(dR @ cameras[i].rotation, cameras[i].translation)
-            prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), BaOptions(**opts))
+            prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs, **fixed))
             assert len(prob.chunks) == (1 if rows > len(obs) else prob.cam_rows[0] // 2 + 7)
-            report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions(**opts))
+            report = solve_dicts(cameras, intrinsics, points, obs, **fixed)
             assert report.iterations > 1
             outputs.append((report, cameras, points))
         (rep1, cams1, pts1), (rep2, cams2, pts2) = outputs
@@ -261,18 +273,18 @@ class TestChunks:
 
 
 ORACLE_SCENES = {
-    "gauge": BaOptions(),
-    "fixed_cameras": BaOptions(fixed_camera_ids={0, 3}),
-    "fixed_points": BaOptions(fixed_point_ids={0, 1, 2, 5}),
+    "gauge": {},
+    "fixed_cameras": dict(fixed_cameras={0, 3}),
+    "fixed_points": dict(fixed_points={0, 1, 2, 5}),
 }
 
 
-def assert_step_matches_reference(n_cams, opts, lam):
+def assert_step_matches_reference(n_cams, fixed, lam):
     """The Schur step on a ring scene with a point behind camera 0 equals
     schur_reference; returns the linearized problem."""
     cameras, intrinsics, points, obs = make_scene(n_cams=n_cams, seed=11, noise=0.7)
     add_point_behind_camera(cameras, intrinsics, points, obs)
-    prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, opts)
+    prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, **fixed)
     assert not valid.all()
     A, B = prob.jacobians(v, p, valid)
     dc_ref, dp_ref, _ = schur_reference(prob, A, B, r, lam)
@@ -292,15 +304,15 @@ class TestSchurOracle:
 
     @pytest.mark.parametrize("lam", [1e-4, 10.0])
     def test_step_over_several_bands_matches_reference(self, lam):
-        prob = assert_step_matches_reference(70, BaOptions(fixed_camera_ids={10, 64}), lam)
+        prob = assert_step_matches_reference(70, dict(fixed_cameras={10, 64}), lam)
         assert len(prob.free_cams) > ba.SCHUR_BAND_CAMERAS
 
     def test_upper_triangle_equals_full_product(self):
         """Each band multiplies only the block rows of W from its first
         camera on; S's upper triangle and b equal the full product's."""
-        opts = BaOptions(fixed_camera_ids={3}, fixed_point_ids={0, 1})
+        fixed = dict(fixed_cameras={3}, fixed_points={0, 1})
         cameras, intrinsics, points, obs = make_scene(n_cams=40, seed=11, noise=0.7)
-        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, opts)
+        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, **fixed)
         ne = prob.normal_equations(r, v, p, valid)
         assert len(ne.U) > 2 * ba.SCHUR_BAND_CAMERAS
         Vinv = _inv_sym3(ne.V + 0.1 * np.eye(3))
@@ -313,7 +325,7 @@ class TestSchurOracle:
 
     def test_indefinite_reduced_system_falls_back_to_least_squares(self, monkeypatch):
         cameras, intrinsics, points, obs = make_scene(seed=12, noise=0.7)
-        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, BaOptions())
+        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs)
         A, B = prob.jacobians(v, p, valid)
         lam = -1.5  # negative damping makes the reduced system indefinite
         dc_ref, dp_ref, S = schur_reference(prob, A, B, r, lam)
@@ -332,7 +344,7 @@ class TestSchurOracle:
 
         cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
         monkeypatch.setattr(ba, "cho_factor", not_positive_definite)
-        report = solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        report = solve_dicts(cameras, intrinsics, points, obs)
         assert report.iterations > 0
         assert np.isfinite([report.final_cost, report.final_mean_error]).all()
         assert report.final_cost < report.initial_cost
@@ -363,9 +375,9 @@ class TestPointBlockInverse:
         cameras, intrinsics, points, obs = make_scene(seed=11, noise=0.7)
         pid = add_point_behind_camera(cameras, intrinsics, points, obs)
         obs = [o for o in obs if o[1] != pid or o[0] == 0]
-        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, BaOptions())
+        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs)
         V = prob.normal_equations(r, v, p, valid).V
-        assert not V[prob.pt_slot[prob.pt_ids.index(pid)]].any()
+        assert not V[prob.pt_slot[sorted(points).index(pid)]].any()
         d3 = np.arange(3)
         for lam in (1e-4, 10.0):
             damped = V.copy()
@@ -397,12 +409,12 @@ PEAK_BYTES_PER_OBSERVATION = 464 * 1.25
 class TestMemory:
     def test_one_iteration_peak_per_observation(self):
         cameras, intrinsics, points, obs = make_scene(n_cams=40, n_pts=500, seed=13, noise=0.5)
-        arrays = ba_arrays(obs)
+        arrays = ba_arrays(cameras, intrinsics, points, obs)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            solve_bundle(cameras, intrinsics, points, arrays, BaOptions(max_iterations=1))
+            solve_bundle(*arrays, max_iterations=1)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -413,7 +425,7 @@ class TestMemory:
 class TestNonFiniteStep:
     def test_stepped_rejects_nan_without_hanging(self):
         cameras, intrinsics, points, obs = make_scene(seed=2)
-        prob = _Problem(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+        prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs))
         dc = np.full((len(prob.free_cams), 6), np.nan)
         dp = np.zeros((len(prob.free_pts), 3))
         R, t, X = prob.R.copy(), prob.t.copy(), prob.X.copy()
@@ -440,7 +452,7 @@ class TestNonFiniteStep:
         monkeypatch.setattr(_Problem, "stepped", spy)
         cameras, intrinsics, points, obs = make_scene(seed=4, noise=1.0)
         box = call_with_deadline(
-            lambda: solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+            lambda: solve_dicts(cameras, intrinsics, points, obs)
         )
         report = box["returned"]
         assert lams[1] == pytest.approx(10.0 * lams[0])  # damping went up
@@ -468,13 +480,7 @@ class TestNonFiniteInput:
 
         monkeypatch.setattr(_Problem, "residuals", residuals)
         box = call_with_deadline(
-            lambda: solve_bundle(cameras, intrinsics, points, ba_arrays(obs), BaOptions())
+            lambda: solve_dicts(cameras, intrinsics, points, obs)
         )
         assert isinstance(box.get("raised"), ValueError)
         assert str(box["raised"]) == f"{expected} is not finite"
-
-
-class TestBaOptions:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BaOptions(max_iterations=0)

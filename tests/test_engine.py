@@ -401,6 +401,11 @@ def reprojection_reference(recon, features):
         ("POINT 0 1 2 3 two 0 5 1 6", "non-numeric field in POINT record"),
         ("CAMERA 0 1 0 0 0 0 0 zero", "non-numeric field in CAMERA record"),
         ("CAMERA 7 1 0 0 0 0 0 0", "CAMERA of image 7 with no intrinsics"),
+        ("CAMERA 1 0 0 0 0 0 0 0", "CAMERA quaternion is zero or not finite"),
+        ("CAMERA 1 nan 0 0 0 0 0 0", "CAMERA quaternion is zero or not finite"),
+        ("CAMERA 1 1 0 0 0 0 inf 0", "non-finite coordinate in CAMERA record"),
+        ("POINT 0 1 nan 3 2 0 5 1 6", "non-finite coordinate in POINT record"),
+        ("CAMERA 0 1 0 0 0 0 0 0", "repeated CAMERA of image 0"),
     ],
 )
 def test_malformed_model_record_names_its_line(tmp_path, record, message):

@@ -205,7 +205,7 @@ class TestBuildMatchGraph:
             w = edge_weight(
                 p, metas[p.image_id_a], metas[p.image_id_b], n_max, feats
             )
-            assert g.weight(p.image_id_a, p.image_id_b) == pytest.approx(w)
+            assert g.edges[p.key()][0] == pytest.approx(w)
 
     def test_weights_in_bounds(self):
         metas, feats, pairs = self._chain([55, 70, 90])
@@ -609,6 +609,12 @@ class TestDatasetIO:
             ("DESC 0 0 1 0\nDESC 0 1 1 0 0", 9, "DESC of dimension 3, not 2"),
             ("DESC 0 0 1 0", 5, "KEYPOINT 1 of image 0 has no DESC"),
             ("IMAGE 2 640 480", 2, "IMAGE records with no INTRINSICS record"),
+            ("IMAGE 2 0 480", 8, "image dimensions must be positive"),
+            ("IMAGE 2 300 480", 8, "principal_x outside image bounds"),
+            ("INTRINSICS 500 -500 320 240", 8, "focal lengths must be positive"),
+            ("INTRINSICS nan 500 320 240", 8, "non-finite value in INTRINSICS record"),
+            ("KEYPOINT 0 1 inf 1", 8, "non-finite value in KEYPOINT record"),
+            ("KEYPOINT 2 1 2 1", 8, "KEYPOINT of image 2 with no IMAGE record"),
         ],
     )
     def test_bad_record_rejected_with_its_line(self, tmp_path, bad, line, message):

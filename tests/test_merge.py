@@ -575,6 +575,7 @@ class TestGeoreference:
         ("GCPOBS 0 1 2 y", "non-numeric field in GCPOBS record"),
         ("GCPOBS 5 1 2 3", "GCPOBS of GCP 5 with no GCP record before it"),
         ("GCP 1 0 0 0 survey", "unknown GCP role 'survey'"),
+        ("GCP 0 4 5 6 check", "repeated GCP id 0"),
     ],
 )
 def test_malformed_gcp_record_names_its_line(tmp_path, record, message):

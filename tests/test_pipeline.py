@@ -150,6 +150,23 @@ class TestSynth:
         for pid in gt["points"]:
             assert np.array_equal(back["points"][pid], gt["points"][pid])
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("GTFRAME 0 1 2 3", "unknown record type 'GTFRAME'"),
+            ("GTCAM 0 1 0 0", "GTCAM record with 4 fields"),
+            ("GTPOINT 0 1 2", "GTPOINT record with 3 fields"),
+            ("GTPOINT 0 x 0 0", "non-numeric field in GTPOINT record"),
+            ("GTCAM one 1 0 0 0 0 0 0", "non-numeric field in GTCAM record"),
+        ],
+    )
+    def test_malformed_ground_truth_record_names_its_line(self, tmp_path, record, message):
+        path = tmp_path / "gt.txt"
+        path.write_text(f"GTCAM 0 1 0 0 0 0 0 0\n\n{record}\nGTPOINT 1 0 0 5\n")
+        with pytest.raises(ValueError) as err:
+            read_ground_truth(path)
+        assert str(err.value) == f"{path}:3: {message}"
+
 
 class TestEvaluate:
     def _gt_recon(self, gt, dataset):
