@@ -139,21 +139,32 @@ def bundle_adjust(recon: Reconstruction, features, anchors=()) -> BaReport:
     X = np.empty((len(anchors) + len(pids), 3))
     X[fixed] = np.reshape([xyz for _, xyz, _ in anchors], (-1, 3))
     X[len(anchors) :] = np.reshape([recon.points[p][0] for p in pids], (-1, 3))
-    extra = [(img, row, *px) for row, (_, _, obs) in zip(fixed, anchors) for img, px in obs]
-    extra = [e for e in extra if e[0] in recon.cameras]  # image, point row, pixel
-    extra = np.array(extra, dtype=float).reshape(-1, 4)
-    owner, image, keypoint = observation_arrays(recon, pids)
-    observations = (
-        np.searchsorted(images, np.concatenate([image, extra[:, 0].astype(np.int64)])),
-        np.concatenate([len(anchors) + owner, extra[:, 1].astype(np.int64)]),
-        np.vstack([keypoint_pixels(features, image, keypoint), extra[:, 2:]]),
+    # the observations are passed without a name here, so once solve_bundle
+    # has sorted its copies nothing per observation is left from this call
+    report = solve_bundle(
+        R, t, K, X, _ba_observations(recon, features, images, pids, anchors, fixed),
+        fixed_points=fixed,
     )
-    report = solve_bundle(R, t, K, X, observations, fixed_points=fixed)
     for k, img in enumerate(images):
         recon.cameras[img] = (recon.cameras[img][0], CameraPose(R[k], t[k]))
     for p, xyz in zip(pids, X[len(anchors) :]):
         recon.points[p] = (xyz, recon.points[p][1])
     return report
+
+
+def _ba_observations(recon, features, images, pids, anchors, rows):
+    """The observations of the points pids, then those of the anchors (at
+    X rows `rows`) in registered images, as solve_bundle's (camera index,
+    point index, pixel) arrays; points count from len(anchors)."""
+    extra = [(img, row, *px) for row, (_, _, obs) in zip(rows, anchors) for img, px in obs]
+    extra = [e for e in extra if e[0] in recon.cameras]  # image, point row, pixel
+    extra = np.array(extra, dtype=float).reshape(-1, 4)
+    owner, image, keypoint = observation_arrays(recon, pids)
+    return (
+        np.searchsorted(images, np.concatenate([image, extra[:, 0].astype(np.int64)])),
+        np.concatenate([len(anchors) + owner, extra[:, 1].astype(np.int64)]),
+        np.vstack([keypoint_pixels(features, image, keypoint), extra[:, 2:]]),
+    )
 
 
 def write_reconstruction(path, recon: Reconstruction) -> None:
@@ -201,6 +212,8 @@ def read_reconstruction(path, intrinsics, recon_id: int = 0) -> Reconstruction:
             if not np.isfinite(xyz).all():
                 raise ValueError(f"{where}: non-finite coordinate in {kind} record")
             if kind == "POINT":
+                if pid in recon.points:
+                    raise ValueError(f"{where}: repeated POINT {pid}")
                 recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
                 continue
             if img not in intrinsics:

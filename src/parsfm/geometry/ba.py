@@ -3,15 +3,19 @@
 Observations are ordered once by (camera, point), so each free camera's
 Jacobian rows are one slice and the observations coupling a free camera to a
 free point are the block rows of W in order. Residuals and Jacobians are
-computed a chunk of whole cameras at a time, so no per-observation stack of
-rotations or Jacobian products exists beyond one chunk. Each linearization
-builds the normal-equation blocks once (per camera U = A_c^T A_c and g_c
-from that slice, per point V and g_p, the 6x3 block-sparse coupling
-W = A^T B), and its damping retries reuse them. Points are eliminated
-through the Schur complement S = U - W V^-1 W^T, whose upper triangle is
-assembled a band of cameras at a time, and the reduced camera system is
-factored by Cholesky in place (least squares if S is not numerically
-positive definite); intrinsics stay fixed. Gauge is
+computed a chunk of whole cameras at a time, and the Jacobians recompute the
+chunk's projections rather than keep them from the residuals, so no
+per-observation stack of rotations, projections or Jacobian products exists
+beyond one chunk. Each linearization builds the normal-equation blocks once
+(per camera U = A_c^T A_c and g_c from that slice, per point V and g_p, the
+6x3 block-sparse coupling W = A^T B), and its damping retries reuse them.
+Points are eliminated through the Schur complement S = U - W V^-1 W^T, whose
+upper triangle is assembled a band of cameras at a time, and the reduced
+camera system is factored by Cholesky in place (least squares if S is not
+numerically positive definite); intrinsics stay fixed. The point step needs
+W^T dc, which gathers W's blocks a chunk of whole points at a time, so no
+transpose of all of W is made. At its peak a step holds W, S, the residuals
+and one band or chunk. Gauge is
 fixed by holding the first camera constant and, when no points are held
 fixed, restoring the length of the first camera baseline (a pure gauge
 transform, so it never changes the cost).
@@ -38,7 +42,8 @@ FUNCTION_TOLERANCE = 1e-8
 # block rows at a time
 SCHUR_BAND_CAMERAS = 16
 # observations per chunk of the residual and Jacobian kernels; a chunk holds
-# whole cameras, so one camera with more observations is a chunk of its own
+# whole cameras, so one camera with more observations is a chunk of its own.
+# The back-substitution's chunks of whole points hold as many blocks of W
 CHUNK_ROWS = 4096
 
 
@@ -61,9 +66,33 @@ class _Normal:
     gc: np.ndarray  # (cameras, 6) camera part of -J^T r
     gp: np.ndarray  # (points, 3) point part of -J^T r
     W: sp_sparse.bsr_matrix  # camera/point coupling, 6x3 blocks
+    # W's blocks in point-major order, camera order within each point: the
+    # permutation, the blocks of each point and chunks of whole points
+    by_point: tuple
 
     def gradient_norm(self) -> float:
         return max(np.abs(self.gc).max(initial=0.0), np.abs(self.gp).max(initial=0.0))
+
+    def wt_dot(self, x):
+        """W^T x, one chunk of whole points at a time. W.T would copy all of
+        W; each chunk's blocks are those of W.T in W.T's order, so every sum
+        runs in the order of W.T @ x and gives the same bits."""
+        order, pt_blocks, chunks = self.by_point
+        W = self.W
+        blocks_t = W.data.transpose(0, 2, 1)
+        y = np.zeros(W.shape[1])
+        for rows, pts in chunks:
+            k = order[rows]
+            Wt = sp_sparse.bsr_matrix(
+                (
+                    blocks_t[k],
+                    np.searchsorted(W.indptr, k, side="right") - 1,  # camera of each block
+                    pt_blocks[pts.start : pts.stop + 1] - rows.start,
+                ),
+                shape=(3 * (pts.stop - pts.start), W.shape[0]),
+            )
+            y[3 * pts.start : 3 * pts.stop] = Wt @ x
+        return y
 
 
 class _Problem:
@@ -108,35 +137,51 @@ class _Problem:
         # observations with both ends free couple a camera to a point: the
         # block rows of W
         self.coupled = (cslot >= 0) & (pslot >= 0)
-        self.coupled_pt = pslot[self.coupled]
+        self.coupled_pt = pslot[self.coupled].astype(np.int32)
         self.coupled_indptr = np.searchsorted(
             cslot[self.coupled], np.arange(len(self.free_cams) + 1)
+        ).astype(np.int32)
+        # the back-substitution reads W's blocks point by point; a stable
+        # sort keeps each point's blocks in camera order
+        pt_blocks = np.zeros(len(self.free_pts) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.coupled_pt, minlength=len(self.free_pts)), out=pt_blocks[1:])
+        self.by_point = (
+            np.argsort(self.coupled_pt, kind="stable").astype(np.int32),
+            pt_blocks,
+            _chunks(pt_blocks, CHUNK_ROWS),
         )
+
+    def _project(self, R, t, X, rows):
+        """Cameras c, rotations R[c], v = R[c] X and p = v + t[c] of the
+        observation rows (`take` gathers the same values as indexing, faster)."""
+        c = self.obs_cam[rows]
+        Rc = R.take(c, axis=0)
+        v = np.einsum("nij,nj->ni", Rc, X.take(self.obs_pt[rows], axis=0))
+        return c, Rc, v, v + t.take(c, axis=0)
 
     def residuals(self, R, t, X):
         """Per-observation 2-vector residuals plus validity mask and cost."""
         n = len(self.obs_cam)
-        r, v, p = np.empty((n, 2)), np.empty((n, 3)), np.empty((n, 3))
+        r = np.empty((n, 2))
         valid = np.empty(n, dtype=bool)
         for rows, _ in self.chunks:
-            c = self.obs_cam[rows]
-            v[rows] = np.einsum("nij,nj->ni", R[c], X[self.obs_pt[rows]])
-            p[rows] = v[rows] + t[c]
-            px, z = pinhole(p[rows], self.fx[c], self.fy[c], self.cx[c], self.cy[c])
+            c, _, _, p = self._project(R, t, X, rows)
+            px, z = pinhole(p, self.fx.take(c), self.fy.take(c), self.cx.take(c), self.cy.take(c))
             valid[rows] = z > 1e-9
             r[rows] = px - self.obs_xy[rows]
         r[~valid] = 0.0  # priced by the penalty instead
         cost = float((r[valid] ** 2).sum()) + _BEHIND_PENALTY * int((~valid).sum())
-        return r, valid, cost, v, p
+        return r, valid, cost
 
-    def jacobians(self, v, p, valid, rows=slice(None), skip=0):
+    def jacobians(self, valid, rows=slice(None), skip=0):
         """Camera (k - skip,2,6) blocks of the rows after the first `skip`
-        and point (k,2,3) blocks of all k rows of the residual Jacobian."""
-        c = self.obs_cam[rows]
-        p, valid = p[rows], valid[rows]
+        and point (k,2,3) blocks of all k rows of the residual Jacobian at
+        the current poses and points."""
+        c, Rc, v, p = self._project(self.R, self.t, self.X, rows)
+        valid = valid[rows]
         z = np.where(valid, p[:, 2], 1.0)
-        fx = self.fx[c]
-        fy = self.fy[c]
+        fx = self.fx.take(c)
+        fy = self.fy.take(c)
         Jp = np.zeros((len(c), 2, 3))
         Jp[:, 0, 0] = fx / z
         Jp[:, 0, 2] = -fx * p[:, 0] / z**2
@@ -145,12 +190,12 @@ class _Problem:
         Jp[~valid] = 0.0
 
         A = np.zeros((len(c) - skip, 2, 6))
-        A[:, :, :3] = -(Jp[skip:] @ skew(v[rows][skip:]))
+        A[:, :, :3] = -(Jp[skip:] @ skew(v[skip:]))
         A[:, :, 3:] = Jp[skip:]
-        B = Jp @ self.R[c]
+        B = Jp @ Rc
         return A, B
 
-    def normal_equations(self, r, v, p, valid) -> _Normal:
+    def normal_equations(self, r, valid) -> _Normal:
         """Blocks of J^T J and -J^T r over the free cameras and points."""
         n, nc = len(self.obs_cam), len(self.free_cams)
         U, gc = np.empty((nc, 6, 6)), np.empty((nc, 6))
@@ -161,7 +206,7 @@ class _Problem:
             # camera blocks only for the rows of free cameras
             free = slice(min(max(first, rows.start), rows.stop), rows.stop)
             skip = free.start - rows.start
-            A, B = self.jacobians(v, p, valid, rows, skip)
+            A, B = self.jacobians(valid, rows, skip)
             np.matmul(B.transpose(0, 2, 1), B, out=BtB[rows].reshape(-1, 3, 3))
             Btr[rows] = np.einsum("nij,ni->nj", B, r[rows])
             k = self.coupled[free]
@@ -184,6 +229,7 @@ class _Problem:
                 (W, self.coupled_pt, self.coupled_indptr),
                 shape=(6 * nc, 3 * len(self.free_pts)),
             ),
+            by_point=self.by_point,
         )
 
     def stepped(self, dc, dp):
@@ -322,10 +368,10 @@ def _solve_schur(ne: _Normal, lam):
         i, j = np.tril_indices(len(S), -1)
         S[i, j] = S[j, i]
         dc = np.linalg.lstsq(S, b, rcond=None)[0]
-    del S  # S, or its factor, is freed before W^T is made
+    del S  # S, or its factor, is freed before the back-substitution
 
     # back-substitute points: dp = Vinv (gp - W^T dc)
-    dp = np.einsum("nij,nj->ni", Vinv, ne.gp - (ne.W.T @ dc).reshape(npt, 3))
+    dp = np.einsum("nij,nj->ni", Vinv, ne.gp - ne.wt_dot(dc).reshape(npt, 3))
     return dc.reshape(nc, 6), dp
 
 
@@ -349,7 +395,8 @@ def solve_bundle(
     if not len(observations[2]) or not len(R) or not len(X):
         return BaReport()
     prob = _Problem(R, t, K, X, observations, fixed_cameras, fixed_points)
-    r, valid, cost, v, p = prob.residuals(prob.R, prob.t, prob.X)
+    del observations  # prob holds sorted copies; a caller holding none frees these
+    r, valid, cost = prob.residuals(prob.R, prob.t, prob.X)
     report = BaReport(
         initial_mean_error=_mean_error(r, valid),
         initial_cost=cost,
@@ -369,7 +416,7 @@ def solve_bundle(
     while it < max_iterations:
         it += 1
         ne = None  # release the previous linearization before building the next
-        ne = prob.normal_equations(r, v, p, valid)
+        ne = prob.normal_equations(r, valid)
         if ne.gradient_norm() < GRADIENT_TOLERANCE:
             report.converged = True
             it -= 1
@@ -383,14 +430,14 @@ def solve_bundle(
             except np.linalg.LinAlgError:  # a non-finite step is rejected
                 costn = np.inf
             else:
-                rn, validn, costn, vn, pn = prob.residuals(Rn, tn, Xn)
+                rn, validn, costn = prob.residuals(Rn, tn, Xn)
             if costn <= cost:
                 step = float(np.sqrt((dc**2).sum() + (dp**2).sum()))
                 pnorm = float(
                     np.sqrt((prob.t**2).sum() + (prob.X**2).sum())
                 )
                 prob.R, prob.t, prob.X = Rn, tn, Xn
-                r, valid, v, p = rn, validn, vn, pn
+                r, valid = rn, validn
                 converged_step = step < PARAMETER_TOLERANCE * (pnorm + PARAMETER_TOLERANCE)
                 cost_drop = cost - costn
                 cost = costn
@@ -415,7 +462,7 @@ def solve_bundle(
             if abs(s - 1.0) > 1e-15:
                 prob.X = C[0] + s * (prob.X - C[0])
                 prob.t = -np.einsum("nij,nj->ni", prob.R, C[0] + s * (C - C[0]))
-                r, valid, cost = prob.residuals(prob.R, prob.t, prob.X)[:3]
+                r, valid, cost = prob.residuals(prob.R, prob.t, prob.X)
 
     report.iterations = it
     report.final_cost = cost

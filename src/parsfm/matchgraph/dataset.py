@@ -10,7 +10,8 @@ Sections (any order, one record per line):
 A dataset may carry MATCH records instead of DESC records, in which case
 retrieval and verification are bypassed downstream. Every keypoint of an
 image with DESC records has one, all of one dimension; IMAGE records need
-the INTRINSICS record, and KEYPOINT records the IMAGE record of their image.
+the INTRINSICS record, of which there is one, and KEYPOINT records the IMAGE
+record of their image.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ def read_dataset(path) -> Dataset:
                     )
                     continue
                 if kind == "INTRINSICS" and len(tok) == 5:
-                    record = shared_k = tuple(float(v) for v in tok[1:])
+                    record = tuple(float(v) for v in tok[1:])
                 if kind == "IMAGE" and len(tok) == 4:
                     record = int(tok[1]), int(tok[2]), int(tok[3])
                 elif kind == "DESC" and len(tok) > 3:
@@ -120,9 +121,12 @@ def read_dataset(path) -> Dataset:
                 raise ValueError(f"{path}:{lineno}: {kind} record with {len(tok) - 1} fields")
             try:
                 if kind == "INTRINSICS":
-                    if not np.isfinite(shared_k).all():
+                    if not np.isfinite(record).all():
                         raise ValueError("non-finite value in INTRINSICS record")
-                    CameraIntrinsics(*shared_k, np.inf, np.inf)  # IMAGE records set the bounds
+                    CameraIntrinsics(*record, np.inf, np.inf)  # IMAGE records set the bounds
+                    if shared_k is not None:
+                        raise ValueError("repeated INTRINSICS record")
+                    shared_k = record
                 elif kind == "IMAGE":
                     iid = record[0]
                     if iid < 0 or iid in metas:

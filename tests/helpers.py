@@ -308,3 +308,91 @@ def triangulate_reference(observations, min_tri_angle_deg, max_error_px=np.inf):
         if np.linalg.norm(proj[0] - px) > max_error_px:
             return None, 4
     return X, 0
+
+
+def linearize_reference(prob):
+    """The bundle adjuster's linearization as it was while the residuals
+    stored every observation's v = R X and p = v + t for the Jacobians to
+    read, kept as the oracle of the one that recomputes them a chunk at a
+    time: residuals, mask and cost, then the normal equations with B^T B and
+    B^T r kept for every observation until pt_sum sums them. Returns
+    (r, valid, cost, _Normal) at prob's current poses and points."""
+    from parsfm.geometry import ba
+    from parsfm.geometry.camera import pinhole, skew
+    from scipy import sparse as sp_sparse
+
+    n, nc = len(prob.obs_cam), len(prob.free_cams)
+    r, v, p = np.empty((n, 2)), np.empty((n, 3)), np.empty((n, 3))
+    valid = np.empty(n, dtype=bool)
+    for rows, _ in prob.chunks:
+        c = prob.obs_cam[rows]
+        v[rows] = np.einsum("nij,nj->ni", prob.R[c], prob.X[prob.obs_pt[rows]])
+        p[rows] = v[rows] + prob.t[c]
+        px, z = pinhole(p[rows], prob.fx[c], prob.fy[c], prob.cx[c], prob.cy[c])
+        valid[rows] = z > 1e-9
+        r[rows] = px - prob.obs_xy[rows]
+    r[~valid] = 0.0
+    cost = float((r[valid] ** 2).sum()) + ba._BEHIND_PENALTY * int((~valid).sum())
+
+    U, gc = np.empty((nc, 6, 6)), np.empty((nc, 6))
+    W = np.empty((len(prob.coupled_pt), 6, 3))
+    BtB, Btr = np.empty((n, 9)), np.empty((n, 3))
+    first = prob.cam_rows[0] // 2
+    for rows, cams in prob.chunks:
+        free = slice(min(max(first, rows.start), rows.stop), rows.stop)
+        skip = free.start - rows.start
+        c = prob.obs_cam[rows]
+        pr, vr, ok = p[rows], v[rows], valid[rows]
+        z = np.where(ok, pr[:, 2], 1.0)
+        Jp = np.zeros((len(c), 2, 3))
+        Jp[:, 0, 0] = prob.fx[c] / z
+        Jp[:, 0, 2] = -prob.fx[c] * pr[:, 0] / z**2
+        Jp[:, 1, 1] = prob.fy[c] / z
+        Jp[:, 1, 2] = -prob.fy[c] * pr[:, 1] / z**2
+        Jp[~ok] = 0.0
+        A = np.zeros((len(c) - skip, 2, 6))
+        A[:, :, :3] = -(Jp[skip:] @ skew(vr[skip:]))
+        A[:, :, 3:] = Jp[skip:]
+        B = Jp @ prob.R[c]
+        np.matmul(B.transpose(0, 2, 1), B, out=BtB[rows].reshape(-1, 3, 3))
+        Btr[rows] = np.einsum("nij,ni->nj", B, r[rows])
+        k = prob.coupled[free]
+        W[prob.coupled_indptr[cams.start] : prob.coupled_indptr[cams.stop]] = (
+            A[k].transpose(0, 2, 1) @ B[skip:][k]
+        )
+        J, e = A.reshape(-1, 6), r[free].reshape(-1)
+        lo = 2 * free.start
+        for cam in range(cams.start, cams.stop):
+            a, b = prob.cam_rows[cam] - lo, prob.cam_rows[cam + 1] - lo
+            U[cam] = J[a:b].T @ J[a:b]
+            gc[cam] = -(e[a:b] @ J[a:b])
+    ne = ba._Normal(
+        U=U,
+        V=(prob.pt_sum @ BtB).reshape(-1, 3, 3),
+        gc=gc,
+        gp=-(prob.pt_sum @ Btr),
+        W=sp_sparse.bsr_matrix(
+            (W, prob.coupled_pt, prob.coupled_indptr),
+            shape=(6 * nc, 3 * len(prob.free_pts)),
+        ),
+        by_point=None,
+    )
+    return r, valid, cost, ne
+
+
+def solve_schur_reference(ne, lam):
+    """The damped Schur step with the point back-substitution through the
+    transpose of all of W, W.T @ dc: the oracle of the chunked W^T dc."""
+    from parsfm.geometry import ba
+    from scipy.linalg import cho_factor, cho_solve
+
+    d6, d3 = np.arange(6), np.arange(3)
+    U = ne.U.copy()
+    U[:, d6, d6] += lam * np.maximum(U[:, d6, d6], 1e-12)
+    V = ne.V.copy()
+    V[:, d3, d3] += lam * np.maximum(V[:, d3, d3], 1e-12)
+    Vinv = ba._inv_sym3(V)
+    S, b = ba._reduced_system(ne, U, Vinv)
+    dc = cho_solve(cho_factor(S.T, lower=True, overwrite_a=True), b)
+    dp = np.einsum("nij,nj->ni", Vinv, ne.gp - (ne.W.T @ dc).reshape(len(V), 3))
+    return dc.reshape(len(U), 6), dp

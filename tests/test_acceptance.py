@@ -246,8 +246,8 @@ class TestBundleAdjustment:
     def test_jacobian_and_perturbation_recovery(self, capsys):
         cameras, intrinsics, points, obs = self._scene(31)
         prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs))
-        r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
-        A, B = prob.jacobians(v, p, valid)
+        r, valid, _ = prob.residuals(prob.R, prob.t, prob.X)
+        A, B = prob.jacobians(valid)
         rng = np.random.default_rng(32)
         h = 1e-6
         max_rel = 0.0

@@ -10,7 +10,15 @@ from parsfm.geometry import ba
 from parsfm.geometry.ba import _inv_sym3, _Problem, _reduced_system, _solve_schur
 from parsfm.geometry.camera import angle_axis_to_matrix
 
-from helpers import ba_arrays, call_with_deadline, default_intrinsics, ring_cameras, solve_dicts
+from helpers import (
+    ba_arrays,
+    call_with_deadline,
+    default_intrinsics,
+    linearize_reference,
+    ring_cameras,
+    solve_dicts,
+    solve_schur_reference,
+)
 
 
 def make_scene(n_cams=6, n_pts=40, seed=0, noise=0.0):
@@ -97,8 +105,8 @@ def schur_reference(prob, A, B, r, lam):
 
 def linearized(cameras, intrinsics, points, obs, **fixed):
     prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs, **fixed))
-    r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
-    return prob, r, valid, v, p
+    r, valid, _ = prob.residuals(prob.R, prob.t, prob.X)
+    return prob, r, valid
 
 
 def mean_reproj(cameras, intrinsics, points, obs):
@@ -114,8 +122,8 @@ class TestJacobian:
         rng = np.random.default_rng(5)
         pick = rng.choice(len(obs), 20, replace=False)
         prob = _Problem(*ba_arrays(cameras, intrinsics, points, obs))
-        r, valid, _, v, p = prob.residuals(prob.R, prob.t, prob.X)
-        A, B = prob.jacobians(v, p, valid)
+        r, valid, _ = prob.residuals(prob.R, prob.t, prob.X)
+        A, B = prob.jacobians(valid)
         h = 1e-6
         for k in pick:
             ci = prob.obs_cam[k]
@@ -272,6 +280,53 @@ class TestChunks:
         ]
 
 
+class TestLinearizationOracle:
+    def test_recomputed_projections_give_the_stored_ones_bits(self, monkeypatch):
+        """Projections recomputed per chunk, and W^T dc gathered a chunk of
+        points at a time, give the bits of stored projections and W.T @ dc,
+        with fixed cameras and points, a point behind a camera and a free
+        point that only fixed cameras see."""
+        monkeypatch.setattr(ba, "CHUNK_ROWS", 16)
+        fixed = dict(fixed_cameras={0, 3}, fixed_points={2, 7, 11})
+        cameras, intrinsics, points, obs = make_scene(n_cams=9, seed=14, noise=0.8)
+        add_point_behind_camera(cameras, intrinsics, points, obs, cam=1)
+        points[99] = points[5] + 0.1
+        obs += [(c, 99, project(intrinsics[c], cameras[c], points[99])) for c in (0, 3)]
+        rng = np.random.default_rng(16)
+        for i in cameras:
+            dR = angle_axis_to_matrix(rng.normal(scale=1e-2, size=3))
+            cameras[i] = CameraPose(dR @ cameras[i].rotation, cameras[i].translation)
+        args = ba_arrays(cameras, intrinsics, points, obs, **fixed)
+        prob = _Problem(*args)
+        # every point spans several camera chunks and W^T dc several chunks
+        # of more than one point
+        assert len(prob.chunks) > 8
+        pt_chunks = prob.by_point[2]
+        assert len(pt_chunks) > 1 and max(p.stop - p.start for _, p in pt_chunks) > 1
+        # W's int32 point indices are the coupled observations' points
+        cam, pt, _ = args[4]
+        order = np.lexsort((prob.pt_slot[pt], prob.cam_slot[cam]))
+        assert prob.coupled_pt.dtype == prob.by_point[0].dtype == np.int32
+        assert np.array_equal(prob.coupled_pt, prob.pt_slot[pt[order]][prob.coupled])
+
+        r, valid, cost = prob.residuals(prob.R, prob.t, prob.X)
+        r_ref, valid_ref, cost_ref, ne_ref = linearize_reference(prob)
+        assert not valid.all()
+        assert np.array_equal(r, r_ref) and np.array_equal(valid, valid_ref)
+        assert cost == cost_ref
+        ne = prob.normal_equations(r, valid)
+        for name in ("U", "V", "gc", "gp"):
+            assert np.array_equal(getattr(ne, name), getattr(ne_ref, name)), name
+        assert np.array_equal(ne.W.data, ne_ref.W.data)
+        assert np.array_equal(ne.W.indices, ne_ref.W.indices)
+        assert np.array_equal(ne.W.indptr, ne_ref.W.indptr)
+        for lam in (1e-4, 10.0):
+            dc, dp = _solve_schur(ne, lam)
+            dc_ref, dp_ref = solve_schur_reference(ne_ref, lam)
+            assert np.abs(dp_ref).max() > 0
+            assert np.array_equal(dc, dc_ref) and np.array_equal(dp, dp_ref)
+
+
 ORACLE_SCENES = {
     "gauge": {},
     "fixed_cameras": dict(fixed_cameras={0, 3}),
@@ -284,11 +339,11 @@ def assert_step_matches_reference(n_cams, fixed, lam):
     schur_reference; returns the linearized problem."""
     cameras, intrinsics, points, obs = make_scene(n_cams=n_cams, seed=11, noise=0.7)
     add_point_behind_camera(cameras, intrinsics, points, obs)
-    prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, **fixed)
+    prob, r, valid = linearized(cameras, intrinsics, points, obs, **fixed)
     assert not valid.all()
-    A, B = prob.jacobians(v, p, valid)
+    A, B = prob.jacobians(valid)
     dc_ref, dp_ref, _ = schur_reference(prob, A, B, r, lam)
-    dc, dp = _solve_schur(prob.normal_equations(r, v, p, valid), lam)
+    dc, dp = _solve_schur(prob.normal_equations(r, valid), lam)
     assert dc.shape == dc_ref.shape and dp.shape == dp_ref.shape
     assert np.abs(dc_ref).max() > 0 and np.abs(dp_ref).max() > 0
     np.testing.assert_allclose(dc, dc_ref, rtol=1e-9, atol=1e-9 * np.abs(dc_ref).max())
@@ -312,8 +367,8 @@ class TestSchurOracle:
         camera on; S's upper triangle and b equal the full product's."""
         fixed = dict(fixed_cameras={3}, fixed_points={0, 1})
         cameras, intrinsics, points, obs = make_scene(n_cams=40, seed=11, noise=0.7)
-        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs, **fixed)
-        ne = prob.normal_equations(r, v, p, valid)
+        prob, r, valid = linearized(cameras, intrinsics, points, obs, **fixed)
+        ne = prob.normal_equations(r, valid)
         assert len(ne.U) > 2 * ba.SCHUR_BAND_CAMERAS
         Vinv = _inv_sym3(ne.V + 0.1 * np.eye(3))
         S, b = _reduced_system(ne, ne.U, Vinv)
@@ -325,15 +380,15 @@ class TestSchurOracle:
 
     def test_indefinite_reduced_system_falls_back_to_least_squares(self, monkeypatch):
         cameras, intrinsics, points, obs = make_scene(seed=12, noise=0.7)
-        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs)
-        A, B = prob.jacobians(v, p, valid)
+        prob, r, valid = linearized(cameras, intrinsics, points, obs)
+        A, B = prob.jacobians(valid)
         lam = -1.5  # negative damping makes the reduced system indefinite
         dc_ref, dp_ref, S = schur_reference(prob, A, B, r, lam)
         assert np.linalg.eigvalsh(S).min() < 0
         solved = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: solved.append(1) or lstsq(*a, **k))
-        dc, dp = _solve_schur(prob.normal_equations(r, v, p, valid), lam)
+        dc, dp = _solve_schur(prob.normal_equations(r, valid), lam)
         assert solved
         np.testing.assert_allclose(dc, dc_ref, rtol=1e-9, atol=1e-9 * np.abs(dc_ref).max())
         np.testing.assert_allclose(dp, dp_ref, rtol=1e-9, atol=1e-9 * np.abs(dp_ref).max())
@@ -375,8 +430,8 @@ class TestPointBlockInverse:
         cameras, intrinsics, points, obs = make_scene(seed=11, noise=0.7)
         pid = add_point_behind_camera(cameras, intrinsics, points, obs)
         obs = [o for o in obs if o[1] != pid or o[0] == 0]
-        prob, r, valid, v, p = linearized(cameras, intrinsics, points, obs)
-        V = prob.normal_equations(r, v, p, valid).V
+        prob, r, valid = linearized(cameras, intrinsics, points, obs)
+        V = prob.normal_equations(r, valid).V
         assert not V[prob.pt_slot[sorted(points).index(pid)]].any()
         d3 = np.arange(3)
         for lam in (1e-4, 10.0):
@@ -400,10 +455,11 @@ class TestPointBlockInverse:
         assert np.isnan(inv[5]).all()
 
 
-# traced peak of one iteration per observation, 25% over the 464 B measured
-# with residuals and Jacobians computed a chunk of cameras at a time; the
-# full-length per-observation stacks they replaced measured 578 B
-PEAK_BYTES_PER_OBSERVATION = 464 * 1.25
+# traced peak of one iteration per observation, 10% over the 412 B measured
+# with the projections recomputed per chunk and W^T dc summed a chunk of
+# points at a time; stored projections and a transpose of all of W measured
+# 462 B, and per-observation stacks of every Jacobian product 578 B
+PEAK_BYTES_PER_OBSERVATION = 412 * 1.10
 
 
 class TestMemory:

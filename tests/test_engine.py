@@ -406,11 +406,14 @@ def reprojection_reference(recon, features):
         ("CAMERA 1 1 0 0 0 0 inf 0", "non-finite coordinate in CAMERA record"),
         ("POINT 0 1 nan 3 2 0 5 1 6", "non-finite coordinate in POINT record"),
         ("CAMERA 0 1 0 0 0 0 0 0", "repeated CAMERA of image 0"),
+        ("POINT 4 1 2 3 2 0 5 1 6", "repeated POINT 4"),
     ],
 )
 def test_malformed_model_record_names_its_line(tmp_path, record, message):
     path = tmp_path / "model.txt"
-    path.write_text(f"CAMERA 0 1 0 0 0 0 0 0\n\n{record}\nPOINT 1 0 0 5 2 0 1 1 1\n")
+    path.write_text(
+        f"CAMERA 0 1 0 0 0 0 0 0\nPOINT 4 0 0 5 2 0 1 1 1\n{record}\n\nPOINT 1 0 0 5 2 0 1 1 1\n"
+    )
     with pytest.raises(ValueError) as err:
         read_reconstruction(path, {0: default_intrinsics(), 1: default_intrinsics()})
     assert str(err.value) == f"{path}:3: {message}"

@@ -613,6 +613,7 @@ class TestDatasetIO:
             ("IMAGE 2 300 480", 8, "principal_x outside image bounds"),
             ("INTRINSICS 500 -500 320 240", 8, "focal lengths must be positive"),
             ("INTRINSICS nan 500 320 240", 8, "non-finite value in INTRINSICS record"),
+            ("INTRINSICS 900 900 320 240", 8, "repeated INTRINSICS record"),
             ("KEYPOINT 0 1 inf 1", 8, "non-finite value in KEYPOINT record"),
             ("KEYPOINT 2 1 2 1", 8, "KEYPOINT of image 2 with no IMAGE record"),
         ],
