@@ -139,8 +139,10 @@ def bundle_adjust(recon: Reconstruction, features, anchors=()) -> BaReport:
     X = np.empty((len(anchors) + len(pids), 3))
     X[fixed] = np.reshape([xyz for _, xyz, _ in anchors], (-1, 3))
     X[len(anchors) :] = np.reshape([recon.points[p][0] for p in pids], (-1, 3))
-    # the observations are passed without a name here, so once solve_bundle
-    # has sorted its copies nothing per observation is left from this call
+    # the observations are passed without a name here, so under CPython
+    # 3.11+ (which hands the arguments over to the callee) nothing per
+    # observation is left from this call once solve_bundle has sorted its
+    # copies; 3.10 keeps them on the caller's stack until the call returns
     report = solve_bundle(
         R, t, K, X, _ba_observations(recon, features, images, pids, anchors, fixed),
         fixed_points=fixed,

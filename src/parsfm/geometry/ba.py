@@ -67,7 +67,8 @@ class _Normal:
     gp: np.ndarray  # (points, 3) point part of -J^T r
     W: sp_sparse.bsr_matrix  # camera/point coupling, 6x3 blocks
     # W's blocks in point-major order, camera order within each point: the
-    # permutation, the blocks of each point and chunks of whole points
+    # permutation, each block's camera, the blocks of each point and chunks
+    # of whole points
     by_point: tuple
 
     def gradient_norm(self) -> float:
@@ -77,16 +78,15 @@ class _Normal:
         """W^T x, one chunk of whole points at a time. W.T would copy all of
         W; each chunk's blocks are those of W.T in W.T's order, so every sum
         runs in the order of W.T @ x and gives the same bits."""
-        order, pt_blocks, chunks = self.by_point
+        order, cams, pt_blocks, chunks = self.by_point
         W = self.W
         blocks_t = W.data.transpose(0, 2, 1)
         y = np.zeros(W.shape[1])
         for rows, pts in chunks:
-            k = order[rows]
             Wt = sp_sparse.bsr_matrix(
                 (
-                    blocks_t[k],
-                    np.searchsorted(W.indptr, k, side="right") - 1,  # camera of each block
+                    blocks_t[order[rows]],
+                    cams[rows],
                     pt_blocks[pts.start : pts.stop + 1] - rows.start,
                 ),
                 shape=(3 * (pts.stop - pts.start), W.shape[0]),
@@ -145,8 +145,10 @@ class _Problem:
         # sort keeps each point's blocks in camera order
         pt_blocks = np.zeros(len(self.free_pts) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.coupled_pt, minlength=len(self.free_pts)), out=pt_blocks[1:])
+        by_point = np.argsort(self.coupled_pt, kind="stable").astype(np.int32)
         self.by_point = (
-            np.argsort(self.coupled_pt, kind="stable").astype(np.int32),
+            by_point,
+            cslot[self.coupled][by_point].astype(np.int32),
             pt_blocks,
             _chunks(pt_blocks, CHUNK_ROWS),
         )
@@ -395,7 +397,9 @@ def solve_bundle(
     if not len(observations[2]) or not len(R) or not len(X):
         return BaReport()
     prob = _Problem(R, t, K, X, observations, fixed_cameras, fixed_points)
-    del observations  # prob holds sorted copies; a caller holding none frees these
+    # prob holds sorted copies; under CPython 3.11+ a caller that passes the
+    # observations unnamed and unwrapped holds none, and these are freed
+    del observations
     r, valid, cost = prob.residuals(prob.R, prob.t, prob.X)
     report = BaReport(
         initial_mean_error=_mean_error(r, valid),

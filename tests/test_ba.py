@@ -301,12 +301,12 @@ class TestLinearizationOracle:
         # every point spans several camera chunks and W^T dc several chunks
         # of more than one point
         assert len(prob.chunks) > 8
-        pt_chunks = prob.by_point[2]
+        pt_chunks = prob.by_point[3]
         assert len(pt_chunks) > 1 and max(p.stop - p.start for _, p in pt_chunks) > 1
         # W's int32 point indices are the coupled observations' points
         cam, pt, _ = args[4]
         order = np.lexsort((prob.pt_slot[pt], prob.cam_slot[cam]))
-        assert prob.coupled_pt.dtype == prob.by_point[0].dtype == np.int32
+        assert prob.coupled_pt.dtype == prob.by_point[0].dtype == prob.by_point[1].dtype == np.int32
         assert np.array_equal(prob.coupled_pt, prob.pt_slot[pt[order]][prob.coupled])
 
         r, valid, cost = prob.residuals(prob.R, prob.t, prob.X)
@@ -455,11 +455,11 @@ class TestPointBlockInverse:
         assert np.isnan(inv[5]).all()
 
 
-# traced peak of one iteration per observation, 10% over the 412 B measured
+# traced peak of one iteration per observation, 7% over the 422.5 B measured
 # with the projections recomputed per chunk and W^T dc summed a chunk of
 # points at a time; stored projections and a transpose of all of W measured
 # 462 B, and per-observation stacks of every Jacobian product 578 B
-PEAK_BYTES_PER_OBSERVATION = 412 * 1.10
+PEAK_BYTES_PER_OBSERVATION = 422.5 * 1.07
 
 
 class TestMemory:

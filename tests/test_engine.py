@@ -412,11 +412,11 @@ def reprojection_reference(recon, features):
 def test_malformed_model_record_names_its_line(tmp_path, record, message):
     path = tmp_path / "model.txt"
     path.write_text(
-        f"CAMERA 0 1 0 0 0 0 0 0\nPOINT 4 0 0 5 2 0 1 1 1\n{record}\n\nPOINT 1 0 0 5 2 0 1 1 1\n"
+        f"CAMERA 0 1 0 0 0 0 0 0\nPOINT 4 0 0 5 2 0 1 1 1\n\n{record}\nPOINT 1 0 0 5 2 0 1 1 1\n"
     )
     with pytest.raises(ValueError) as err:
         read_reconstruction(path, {0: default_intrinsics(), 1: default_intrinsics()})
-    assert str(err.value) == f"{path}:3: {message}"
+    assert str(err.value) == f"{path}:4: {message}"
 
 
 class TestMeanReprojectionError:
