@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -15,9 +16,14 @@ from ..geometry import (
     quaternion_to_matrix,
     solve_bundle,
 )
+from ..textio import Misgrouped, field_count, layout, parse_group, parses, read_records
 from .tracks import Track
 
 _F = "%.17g"
+_CAMERA_ROW = "CAMERA %s" + f" {_F}" * 7
+_CAMERA = layout("CAMERA", 1, 7)
+# a POINT row as read: id, coordinates, observation count and field count
+_POINT_HEAD = np.dtype([("pid", "<i8"), ("xyz", "<f8", (3,)), ("n_obs", "<i8"), ("fields", "<i8")])
 
 
 @dataclass
@@ -175,55 +181,128 @@ def write_reconstruction(path, recon: Reconstruction) -> None:
     for img in sorted(recon.cameras):
         _, pose = recon.cameras[img]
         q = matrix_to_quaternion(pose.rotation)
-        vals = " ".join(_F % v for v in (*q, *pose.translation))
-        lines.append(f"CAMERA {img} {vals}")
+        lines.append(_CAMERA_ROW % (img, *q, *pose.translation))
+    point_row = {}  # observation count -> format of the row
     for pid in sorted(recon.points):
         xyz, track = recon.points[pid]
-        obs = " ".join(f"{img} {kp}" for img, kp in track.observations)
-        coords = " ".join(_F % v for v in xyz)
-        lines.append(f"POINT {pid} {coords} {len(track.observations)} {obs}")
+        n = len(track.observations)
+        if n not in point_row:
+            point_row[n] = f"POINT %s {_F} {_F} {_F} %s " + " ".join(["%s %s"] * n)
+        lines.append(point_row[n] % (pid, *xyz, n, *chain.from_iterable(track.observations)))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def read_reconstruction(path, intrinsics, recon_id: int = 0) -> Reconstruction:
     """Inverse of write_reconstruction; intrinsics looked up per image id. A
-    malformed record raises ValueError starting with its 'path:line'."""
+    malformed record raises ValueError starting with its 'path:line'.
+
+    Records may come in any order, and blank lines are skipped. The file is
+    read once and parsed one tag group at a time (see `parsfm.textio`); the
+    first bad record in file order raises: an unknown tag, a wrong field
+    count (a POINT needs 5 + 2 * n_obs), a non-numeric field, a non-finite
+    coordinate, a CAMERA of an image without intrinsics, a repeated CAMERA
+    or POINT, or a zero or non-finite CAMERA quaternion.
+    """
+    parsers = {"CAMERA": partial(parse_group, dtype=_CAMERA), "POINT": _parse_points}
+    records, rows, errors = read_records(path, parsers, _bad_model_record, _kept)
+    cameras, (head, obs) = rows["CAMERA"] or (), rows["POINT"] or (None, None)
+
+    def bad(tag, row, message):
+        errors.append((records[tag].line(row), message))
+
     recon = Reconstruction(recon_id=recon_id)
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            tok = line.split()
-            if not tok:
-                continue
-            kind, where = tok[0], f"{path}:{lineno}"
-            xyz = None
-            try:
-                if kind == "POINT" and len(tok) >= 6 and len(tok) == 6 + 2 * int(tok[5]):
-                    pid, ids = int(tok[1]), [int(v) for v in tok[6:]]
-                    xyz = np.array([float(v) for v in tok[2:5]])
-                if kind == "CAMERA" and len(tok) == 9:
-                    img, q = int(tok[1]), np.array([float(v) for v in tok[2:6]])
-                    xyz = np.array([float(v) for v in tok[6:9]])
-            except ValueError:
-                raise ValueError(f"{where}: non-numeric field in {kind} record") from None
-            if kind not in ("CAMERA", "POINT"):
-                raise ValueError(f"{where}: unknown record type {kind!r}")
-            if xyz is None:
-                rule = ", not 5 + 2 * n_obs" if kind == "POINT" else ""
-                raise ValueError(f"{where}: {kind} record with {len(tok) - 1} fields{rule}")
-            if not np.isfinite(xyz).all():
-                raise ValueError(f"{where}: non-finite coordinate in {kind} record")
-            if kind == "POINT":
-                if pid in recon.points:
-                    raise ValueError(f"{where}: repeated POINT {pid}")
-                recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
-                continue
-            if img not in intrinsics:
-                raise ValueError(f"{where}: CAMERA of image {img} with no intrinsics")
-            if img in recon.cameras:
-                raise ValueError(f"{where}: repeated CAMERA of image {img}")
-            if not (np.isfinite(q).all() and q.any()):
-                raise ValueError(f"{where}: CAMERA quaternion is zero or not finite")
-            recon.cameras[img] = (intrinsics[img], CameraPose(quaternion_to_matrix(q), xyz))
+    for row, (img, f) in enumerate(zip(*(column.tolist() for column in cameras))):
+        q, t = f[:4], f[4:]
+        if not np.isfinite(t).all():
+            bad("CAMERA", row, "non-finite coordinate in CAMERA record")
+        elif img not in intrinsics:
+            bad("CAMERA", row, f"CAMERA of image {img} with no intrinsics")
+        elif img in recon.cameras:
+            bad("CAMERA", row, f"repeated CAMERA of image {img}")
+        elif not (np.isfinite(q).all() and any(q)):
+            bad("CAMERA", row, "CAMERA quaternion is zero or not finite")
+        else:
+            pose = CameraPose(quaternion_to_matrix(np.array(q)), np.array(t))
+            recon.cameras[img] = (intrinsics[img], pose)
             recon.registered_order.append(img)
+            continue
+        break
+    if head is not None:
+        pid, xyz, n_obs = head["pid"], head["xyz"], head["n_obs"]
+        half, odd = np.divmod(head["fields"] - 5, 2)  # 2 * n_obs could overflow
+        miscounted = odd.astype(bool) | (n_obs != half)
+        infinite = ~np.isfinite(xyz).all(axis=1)
+        order = np.argsort(pid, kind="stable")
+        repeated = np.zeros(len(pid), bool)
+        repeated[order[1:][pid[order[1:]] == pid[order[:-1]]]] = True
+        wrong = np.flatnonzero(miscounted | infinite | repeated)
+        if wrong.size:
+            row = int(wrong[0])
+            if miscounted[row]:
+                fields = head["fields"][row]
+                bad("POINT", row, f"POINT record with {fields} fields, not 5 + 2 * n_obs")
+            elif infinite[row]:
+                bad("POINT", row, "non-finite coordinate in POINT record")
+            else:
+                bad("POINT", row, f"repeated POINT {pid[row]}")
+    if errors:
+        line, message = min(errors)
+        raise ValueError(f"{path}:{line}: {message}")
+    if head is not None:
+        # one list of (image, keypoint) tuples, sliced per point
+        observations = list(zip(obs[0::2].tolist(), obs[1::2].tolist()))
+        ends = np.cumsum(n_obs)
+        slices = map(slice, (ends - n_obs).tolist(), ends.tolist())
+        pids = pid.tolist()
+        tracks = map(Track, pids, map(observations.__getitem__, slices))
+        recon.points = dict(zip(pids, zip(np.ascontiguousarray(xyz), tracks)))
     return recon
+
+
+def _kept(tag, rows):
+    """A chunk's CAMERA rows as their image ids and values; POINT rows as
+    `_parse_points` gives them."""
+    return rows if tag == "POINT" else (rows["i"][:, 0], rows["f"])
+
+
+def _parse_points(lines, guessed=None):
+    """POINT records as ((heads, observations), bad), the shape of
+    `parse_group`'s result: a `_POINT_HEAD` row per record and the flat
+    (image, keypoint) ids of all, up to the first bad record. The records
+    are parsed in groups of one field count."""
+    fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines)) - 1
+    short = np.flatnonzero(fields < 5)  # not even id, coordinates and count
+    if guessed and short.size:
+        raise Misgrouped
+    bad = int(short[0]) if short.size else len(lines)
+    width = np.maximum(fields - 5, 0)
+    start = np.r_[0, np.cumsum(width)]
+    head = np.zeros(len(lines), _POINT_HEAD)
+    obs = np.zeros(start[-1], np.int64)
+    head["fields"] = fields
+    for count in np.unique(fields[fields >= 5]).tolist():
+        sel = np.flatnonzero(fields == count)
+        rows, k = parse_group([lines[i] for i in sel.tolist()],
+                              layout("POINT", 1, 3, count - 4), guessed)
+        if k is not None:
+            bad = min(bad, int(sel[k]))
+        sel = sel[: len(rows)]
+        head["pid"][sel] = rows["i"][:, 0]
+        head["xyz"][sel] = rows["f"]
+        head["n_obs"][sel] = rows["j"][:, 0]
+        obs[start[sel][:, None] + np.arange(count - 5)] = rows["j"][:, 1:]
+    return (head[:bad], obs[: start[bad]]), (None if bad == len(lines) else bad)
+
+
+def _bad_model_record(tag, text):
+    """Why the record `text`, which its group's layout rejects, is bad."""
+    tok = text.split()
+    if tag == "POINT" and len(tok) >= 6 and parses([tok[5]], np.dtype(np.int64)):
+        if len(tok) != 6 + 2 * int(tok[5]):
+            return f"POINT record with {len(tok) - 1} fields, not 5 + 2 * n_obs"
+    elif tag == "POINT" and len(tok) < 6:
+        return f"POINT record with {len(tok) - 1} fields, not 5 + 2 * n_obs"
+    elif tag == "CAMERA" and len(tok) - 1 != field_count(_CAMERA):
+        return f"CAMERA record with {len(tok) - 1} fields"
+    return f"non-numeric field in {tag} record"

@@ -396,3 +396,196 @@ def solve_schur_reference(ne, lam):
     dc = cho_solve(cho_factor(S.T, lower=True, overwrite_a=True), b)
     dp = np.einsum("nij,nj->ni", Vinv, ne.gp - (ne.W.T @ dc).reshape(len(V), 3))
     return dc.reshape(len(U), 6), dp
+
+
+def read_dataset_reference(path):
+    """The line-at-a-time dataset reader the array reader replaced, as its
+    oracle: every line is split and converted in Python, and the first bad
+    record raises ValueError starting with its 'path:line'. Beyond that
+    reader it rejects a MATCH of an image with itself and a repeated DESC,
+    and it looks a KEYPOINT line up in the lines it read rather than by
+    re-reading the file for the spelled-out image id."""
+    from parsfm.matchgraph import FeatureSet, ImageMeta, MatchPair
+    from parsfm.matchgraph.dataset import Dataset
+
+    metas = {}
+    keypoints = {}
+    kp_lines = {}  # image id -> line of each of its KEYPOINT records
+    descs = {}  # image id -> {keypoint index: (values, line)}
+    matches = {}
+    image_line = {}  # image id -> line of its IMAGE record
+    shared_k = dim = None
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tok = line.split()
+            if not tok or tok[0].startswith("#"):
+                continue
+            kind = tok[0]
+            record = None
+            try:
+                if kind == "MATCH" and len(tok) == 5:
+                    record = int(tok[1]), int(tok[2]), int(tok[3]), int(tok[4])
+                if kind == "KEYPOINT" and len(tok) == 5:
+                    record = int(tok[1]), (float(tok[2]), float(tok[3]), float(tok[4]))
+                if kind == "INTRINSICS" and len(tok) == 5:
+                    record = tuple(float(v) for v in tok[1:])
+                if kind == "IMAGE" and len(tok) == 4:
+                    record = int(tok[1]), int(tok[2]), int(tok[3])
+                elif kind == "DESC" and len(tok) > 3:
+                    record = int(tok[1]), int(tok[2]), [float(v) for v in tok[3:]]
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: non-numeric field in {kind} record") from None
+            if record is None:
+                if kind not in ("INTRINSICS", "IMAGE", "KEYPOINT", "DESC", "MATCH"):
+                    raise ValueError(f"{path}:{lineno}: unknown record type {kind!r}")
+                raise ValueError(f"{path}:{lineno}: {kind} record with {len(tok) - 1} fields")
+            if kind == "KEYPOINT":
+                keypoints.setdefault(record[0], []).append(record[1])
+                kp_lines.setdefault(record[0], []).append(lineno)
+                continue
+            try:
+                if kind == "MATCH":
+                    a, b, ia, ib = record
+                    if a == b:
+                        raise ValueError(f"MATCH of image {a} with itself")
+                    if a < b:
+                        matches.setdefault((a, b), []).append((ia, ib, lineno))
+                    else:
+                        matches.setdefault((b, a), []).append((ib, ia, lineno))
+                elif kind == "INTRINSICS":
+                    if not np.isfinite(record).all():
+                        raise ValueError("non-finite value in INTRINSICS record")
+                    CameraIntrinsics(*record, np.inf, np.inf)  # IMAGE records set the bounds
+                    if shared_k is not None:
+                        raise ValueError("repeated INTRINSICS record")
+                    shared_k = record
+                elif kind == "IMAGE":
+                    iid = record[0]
+                    if iid < 0 or iid in metas:
+                        raise ValueError(f"negative or duplicate IMAGE id {iid}")
+                    metas[iid] = ImageMeta(*record)
+                    image_line[iid] = lineno
+                else:
+                    dim = len(record[2]) if dim is None else dim
+                    if len(record[2]) != dim:
+                        raise ValueError(f"DESC of dimension {len(record[2])}, not {dim}")
+                    if record[1] in descs.get(record[0], {}):
+                        raise ValueError(f"repeated DESC {record[0]} {record[1]}")
+                    descs.setdefault(record[0], {})[record[1]] = (record[2], lineno)
+            except ValueError as exc:  # a record these checks or ImageMeta reject
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    intrinsics = {}
+    for iid, m in metas.items():  # in the order of their IMAGE records
+        try:
+            if shared_k is None:
+                raise ValueError("IMAGE records with no INTRINSICS record")
+            intrinsics[iid] = CameraIntrinsics(*shared_k, m.width, m.height)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{image_line[iid]}: {exc}") from None
+
+    features = {}
+    for iid, dmap in descs.items():
+        n = len(keypoints.get(iid, ()))
+        for idx, (_, line) in dmap.items():
+            if not 0 <= idx < n:
+                raise ValueError(f"{path}:{line}: DESC keypoint {idx} not in image {iid}")
+        if len(dmap) < n:
+            idx = min(set(range(n)) - dmap.keys())
+            line = kp_lines[iid][idx]
+            raise ValueError(f"{path}:{line}: KEYPOINT {idx} of image {iid} has no DESC")
+    for iid, kps in keypoints.items():
+        if iid not in metas:
+            line = kp_lines[iid][0]
+            raise ValueError(f"{path}:{line}: KEYPOINT of image {iid} with no IMAGE record")
+        kps = np.array(kps, dtype=float)
+        finite = np.isfinite(kps).all(axis=1)
+        if not finite.all():
+            line = kp_lines[iid][int(np.argmin(finite))]
+            raise ValueError(f"{path}:{line}: non-finite value in KEYPOINT record")
+        desc = np.zeros((len(kps), dim if iid in descs else 0))
+        for idx, (v, _) in descs.get(iid, {}).items():
+            desc[idx] = v
+        features[iid] = FeatureSet(iid, kps, desc)
+    # an image without keypoints gets an empty feature set as wide as the rest
+    for iid in sorted(metas.keys() - features.keys()):
+        features[iid] = FeatureSet(iid, np.zeros((0, 3)), np.zeros((0, dim or 0)))
+
+    pairs = []
+    for (a, b), rows in sorted(matches.items()):
+        m = np.array(rows, dtype=int)
+        for img, col in ((a, 0), (b, 1)):
+            if img not in metas:
+                raise ValueError(f"{path}:{m[0, 2]}: MATCH names image {img} with no IMAGE record")
+            bad = np.flatnonzero((m[:, col] < 0) | (m[:, col] >= len(keypoints.get(img, ()))))
+            if bad.size:
+                kp, line = m[bad[0], col], m[bad[0], 2]
+                raise ValueError(f"{path}:{line}: MATCH keypoint {kp} not in image {img}")
+        pairs.append(MatchPair(a, b, m[:, :2].copy()))
+
+    return Dataset(metas=metas, features=features, pairs=pairs, intrinsics=intrinsics)
+
+
+def read_reconstruction_reference(path, intrinsics, recon_id=0):
+    """The line-at-a-time model reader the array reader replaced, as its
+    oracle: every line is split and converted in Python, and the first bad
+    record raises ValueError starting with its 'path:line'."""
+    from parsfm.engine import Reconstruction, Track
+    from parsfm.geometry import quaternion_to_matrix
+
+    recon = Reconstruction(recon_id=recon_id)
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            tok = line.split()
+            if not tok:
+                continue
+            kind, where = tok[0], f"{path}:{lineno}"
+            xyz = None
+            try:
+                if kind == "POINT" and len(tok) >= 6 and len(tok) == 6 + 2 * int(tok[5]):
+                    pid, ids = int(tok[1]), [int(v) for v in tok[6:]]
+                    xyz = np.array([float(v) for v in tok[2:5]])
+                if kind == "CAMERA" and len(tok) == 9:
+                    img, q = int(tok[1]), np.array([float(v) for v in tok[2:6]])
+                    xyz = np.array([float(v) for v in tok[6:9]])
+            except ValueError:
+                raise ValueError(f"{where}: non-numeric field in {kind} record") from None
+            if kind not in ("CAMERA", "POINT"):
+                raise ValueError(f"{where}: unknown record type {kind!r}")
+            if xyz is None:
+                rule = ", not 5 + 2 * n_obs" if kind == "POINT" else ""
+                raise ValueError(f"{where}: {kind} record with {len(tok) - 1} fields{rule}")
+            if not np.isfinite(xyz).all():
+                raise ValueError(f"{where}: non-finite coordinate in {kind} record")
+            if kind == "POINT":
+                if pid in recon.points:
+                    raise ValueError(f"{where}: repeated POINT {pid}")
+                recon.points[pid] = (xyz, Track(pid, list(zip(ids[0::2], ids[1::2]))))
+                continue
+            if img not in intrinsics:
+                raise ValueError(f"{where}: CAMERA of image {img} with no intrinsics")
+            if img in recon.cameras:
+                raise ValueError(f"{where}: repeated CAMERA of image {img}")
+            if not (np.isfinite(q).all() and q.any()):
+                raise ValueError(f"{where}: CAMERA quaternion is zero or not finite")
+            recon.cameras[img] = (intrinsics[img], CameraPose(quaternion_to_matrix(q), xyz))
+            recon.registered_order.append(img)
+    return recon
+
+
+def write_reconstruction_reference(path, recon):
+    """The value-at-a-time model writer, as the oracle of the file's bytes."""
+    from parsfm.geometry import matrix_to_quaternion
+
+    lines = []
+    for img in sorted(recon.cameras):
+        _, pose = recon.cameras[img]
+        q = matrix_to_quaternion(pose.rotation)
+        vals = " ".join("%.17g" % v for v in (*q, *pose.translation))
+        lines.append(f"CAMERA {img} {vals}")
+    for pid in sorted(recon.points):
+        xyz, track = recon.points[pid]
+        obs = " ".join(f"{img} {kp}" for img, kp in track.observations)
+        coords = " ".join("%.17g" % v for v in xyz)
+        lines.append(f"POINT {pid} {coords} {len(track.observations)} {obs}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -396,6 +396,9 @@ def reprojection_reference(recon, features):
         ("FRAME 0 1 0 0 0 0 0 0", "unknown record type 'FRAME'"),
         ("POINT 0 1 2", "POINT record with 3 fields, not 5 + 2 * n_obs"),
         ("POINT 0 1 2 3 3 0 5 1 6", "POINT record with 9 fields, not 5 + 2 * n_obs"),
+        # 6 + 2 * n_obs is 10 in int64 arithmetic
+        ("POINT 0 1 2 3 -9223372036854775806 0 5 1 6",
+         "POINT record with 9 fields, not 5 + 2 * n_obs"),
         ("CAMERA 0 1 0 0 0 0 0", "CAMERA record with 7 fields"),
         ("POINT 0 1 2 x 2 0 5 1 6", "non-numeric field in POINT record"),
         ("POINT 0 1 2 3 two 0 5 1 6", "non-numeric field in POINT record"),

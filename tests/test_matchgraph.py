@@ -616,6 +616,10 @@ class TestDatasetIO:
             ("INTRINSICS 900 900 320 240", 8, "repeated INTRINSICS record"),
             ("KEYPOINT 0 1 inf 1", 8, "non-finite value in KEYPOINT record"),
             ("KEYPOINT 2 1 2 1", 8, "KEYPOINT of image 2 with no IMAGE record"),
+            ("MATCH 0 0 0 1", 8, "MATCH of image 0 with itself"),
+            ("DESC 0 0 1 0\nDESC 0 0 5 5", 9, "repeated DESC 0 0"),
+            # the lower image's keypoints of a pair are checked first
+            ("MATCH 0 1 0 9\nMATCH 0 1 5 0", 9, "MATCH keypoint 5 not in image 0"),
         ],
     )
     def test_bad_record_rejected_with_its_line(self, tmp_path, bad, line, message):

@@ -1,8 +1,10 @@
 """Property tests: projection, rotation kernels, similarity recovery, the
-two-view cheirality count and the text formats' round trips over generated
-inputs."""
+two-view cheirality count, the text formats' round trips over generated
+inputs, and the array readers and writer against their line-at-a-time
+oracles on written and mutated files."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -19,9 +21,16 @@ from parsfm.geometry import (
 from parsfm.geometry.camera import project_rotation
 from parsfm.geometry.twoview import _cheirality_counts
 from parsfm.matchgraph import FeatureSet, ImageMeta, MatchPair
+from parsfm import textio
 from parsfm.matchgraph.dataset import Dataset, read_dataset, write_dataset
+from parsfm.pipeline.synth import SynthConfig, generate_synthetic
 
-from helpers import cheirality_counts_loop
+from helpers import (
+    cheirality_counts_loop,
+    read_dataset_reference,
+    read_reconstruction_reference,
+    write_reconstruction_reference,
+)
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -216,3 +225,264 @@ def test_reconstruction_round_trip(tmp_path_factory, recon):
         bxyz, btrack = back.points[pid]
         assert np.array_equal(bxyz, xyz)
         assert btrack == track
+
+
+def assert_same_arrays(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def assert_same_dataset(got, want):
+    """Equal values, dtypes, C-contiguity and dict orders."""
+    assert list(got.metas.items()) == list(want.metas.items())
+    assert list(got.intrinsics.items()) == list(want.intrinsics.items())
+    assert list(got.features) == list(want.features)
+    for iid, f in want.features.items():
+        assert got.features[iid].image_id == iid
+        assert_same_arrays(got.features[iid].keypoints, f.keypoints)
+        assert_same_arrays(got.features[iid].descriptors, f.descriptors)
+    assert [(p.image_id_a, p.image_id_b) for p in got.pairs] == [
+        (p.image_id_a, p.image_id_b) for p in want.pairs
+    ]
+    for p, q in zip(got.pairs, want.pairs):
+        assert_same_arrays(p.matches, q.matches)
+
+
+def assert_same_model(got, want):
+    """Equal values, dtypes, C-contiguity and dict orders."""
+    assert got.recon_id == want.recon_id
+    assert got.registered_order == want.registered_order
+    assert list(got.cameras) == list(want.cameras)
+    for img, (intr, pose) in want.cameras.items():
+        assert got.cameras[img][0] is intr
+        assert_same_arrays(got.cameras[img][1].rotation, pose.rotation)
+        assert_same_arrays(got.cameras[img][1].translation, pose.translation)
+    assert list(got.points) == list(want.points)
+    for pid, (xyz, track) in want.points.items():
+        assert_same_arrays(got.points[pid][0], xyz)
+        assert got.points[pid][1] == track
+        assert all(type(v) is int for obs in got.points[pid][1].observations for v in obs)
+
+
+def outcome(read, *args):
+    """What a reader returns, or the message of the ValueError it raises."""
+    try:
+        return read(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_reads_as_oracle(path, read, oracle, same, *args):
+    got, want = outcome(read, path, *args), outcome(oracle, path, *args)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+    else:
+        same(got, want)
+
+
+# a written file gets one to three mutations; each edits one line, of a tag
+# drawn first so that rare records are edited too, or adds a blank line; a
+# chunk size of 64 bytes reads about one line per chunk
+MUTATIONS = ("delete", "duplicate", "move", "nan", "x", "index", "truncate", "indent", "blank")
+CHUNKS = st.sampled_from([64, 256, textio.CHUNK_BYTES])
+
+
+def mutate(draw, text, blank):
+    for _ in range(draw(st.integers(1, 3))):
+        text = mutate_line(draw, text, blank)
+    return text
+
+
+def mutate_line(draw, text, blank):
+    lines = text.split("\n")[:-1]
+    if not lines:
+        return draw(st.sampled_from(blank)) + "\n"
+    kind = draw(st.sampled_from(MUTATIONS))
+    tags = [(line.split() or [""])[0] for line in lines]
+    tag = draw(st.sampled_from(sorted(set(tags))))
+    k = draw(st.sampled_from([k for k, t in enumerate(tags) if t == tag]))
+    line = lines[k]
+    if kind == "delete":
+        del lines[k]
+    elif kind == "duplicate":
+        lines.insert(k, line)
+    elif kind == "move":
+        lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(k))
+    elif kind in ("nan", "x", "index"):
+        tok = line.split(" ")
+        value = {"nan": "nan", "x": "x"}.get(kind) or draw(
+            st.sampled_from(["-1", "3", "7", "51", "100000", "-100000"]))
+        tok[draw(st.integers(0, len(tok) - 1))] = value
+        lines[k] = " ".join(tok)
+    elif kind == "truncate":
+        lines[k] = line[: draw(st.integers(0, len(line)))]
+    elif kind == "indent":
+        lines[k] = draw(st.sampled_from([" ", "  ", "\t"])) + line
+    else:
+        lines.insert(k, draw(st.sampled_from(blank)))
+    return "\n".join(lines) + "\n"
+
+
+def read_in_chunks(chunk, read, *args):
+    kept, textio.CHUNK_BYTES = textio.CHUNK_BYTES, chunk
+    try:
+        return read(*args)
+    finally:
+        textio.CHUNK_BYTES = kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(ds=datasets(), data=st.data(), chunk=CHUNKS)
+def test_mutated_dataset_records_read_as_the_oracle_reads_them(tmp_path_factory, ds, data, chunk):
+    path = tmp_path_factory.mktemp("ds") / "d.txt"
+    write_dataset(path, ds)
+    path.write_text(mutate(data.draw, path.read_text(), ["", "   ", "# note", "#IMAGE 0 1 1"]))
+    assert_reads_as_oracle(path, lambda p: read_in_chunks(chunk, read_dataset, p),
+                           read_dataset_reference, assert_same_dataset)
+
+
+@settings(max_examples=300, deadline=None)
+@given(recon=reconstructions(), data=st.data(), chunk=CHUNKS)
+def test_mutated_model_records_read_as_the_oracle_reads_them(tmp_path_factory, recon, data, chunk):
+    path = tmp_path_factory.mktemp("recon") / "r.txt"
+    write_reconstruction(path, recon)
+    path.write_text(mutate(data.draw, path.read_text(), ["", " \t "]))
+    intrinsics = {img: intr for img, (intr, _) in recon.cameras.items()}
+    assert_reads_as_oracle(
+        path, lambda p, k, r: read_in_chunks(chunk, read_reconstruction, p, k, r),
+        read_reconstruction_reference, assert_same_model, intrinsics, recon.recon_id)
+
+
+SMALL_DATASET = """INTRINSICS 500 500 320 240
+IMAGE 0 640 480
+IMAGE 1 640 480
+IMAGE 2 640 480
+KEYPOINT 0 1 2 1
+KEYPOINT 0 3 4 1
+KEYPOINT 1 5 6 2
+KEYPOINT 1 7 8 2
+KEYPOINT 2 9 10 3
+DESC 0 0 1 0
+DESC 0 1 0 1
+DESC 1 0 1 1
+DESC 1 1 0 0
+MATCH 0 1 0 1
+MATCH 0 1 1 0
+MATCH 2 1 0 1
+"""
+SMALL_MODEL = "CAMERA 0 1 0 0 0 0 0 0\nCAMERA 3 0.5 0.5 0.5 0.5 1 2 3\nPOINT 4 0 0 5 2 0 1 3 1\n" \
+    "POINT 1 1 2 3 1 3 0\nPOINT 9 1 2 3 0 \n"
+
+
+def single_edits(text):
+    """Every file one edit of a line away from text: the line deleted,
+    duplicated, moved to the front or the end, indented or cut after each
+    character, or one of its fields replaced."""
+    lines = text.split("\n")[:-1]
+    for k, line in enumerate(lines):
+        rest = lines[:k] + lines[k + 1 :]
+        yield rest
+        yield lines[: k + 1] + lines[k:]
+        yield [line] + rest
+        yield rest + [line]
+        yield lines[:k] + ["\t" + line] + lines[k + 1 :]
+        for cut in range(len(line)):
+            yield lines[:k] + [line[:cut]] + lines[k + 1 :]
+        tok = line.split(" ")
+        for f in range(len(tok)):
+            for value in ("nan", "inf", "x", "-1", "0", "2", "3", "100000"):
+                yield lines[:k] + [" ".join(tok[:f] + [value] + tok[f + 1 :])] + lines[k + 1 :]
+
+
+def test_records_one_edit_from_a_small_file_read_as_the_oracles_read_them(tmp_path):
+    path = tmp_path / "f.txt"
+    for n, lines in enumerate(single_edits(SMALL_DATASET)):
+        path.write_text("".join(line + "\n" for line in lines))
+        assert_reads_as_oracle(path, lambda p: read_in_chunks(64 if n % 2 else 1 << 20,
+                                                              read_dataset, p),
+                               read_dataset_reference, assert_same_dataset)
+    intrinsics = {img: CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480) for img in (0, 3)}
+    for n, lines in enumerate(single_edits(SMALL_MODEL)):
+        path.write_text("".join(line + "\n" for line in lines))
+        assert_reads_as_oracle(
+            path, lambda p, k, r: read_in_chunks(64 if n % 2 else 1 << 20,
+                                                 read_reconstruction, p, k, r),
+            read_reconstruction_reference, assert_same_model, intrinsics, 0)
+
+
+def test_lines_inside_a_run_of_records_keep_later_line_numbers(tmp_path):
+    # a run of one tag is first guessed from a few of its lines; a blank or
+    # comment line inside it must not shift the lines named after it
+    path = tmp_path / "d.txt"
+    head = ["INTRINSICS 500 500 320 240", "IMAGE 0 640 480"]
+    run = [f"KEYPOINT 0 {k} 1 1" for k in range(12)]
+    for extra in ("", "# note", "  "):
+        for at in range(1, len(run)):
+            for bad in range(len(run)):
+                lines = list(run)
+                lines[bad] = lines[bad].replace(" 1 1", " inf 1")
+                lines.insert(at, extra)
+                path.write_text("\n".join(head + lines) + "\n")
+                assert_reads_as_oracle(path, read_dataset, read_dataset_reference,
+                                       assert_same_dataset)
+
+
+@SETTINGS
+@given(recon=reconstructions())
+def test_model_records_written_as_the_oracle_writes_them(tmp_path_factory, recon):
+    out = tmp_path_factory.mktemp("recon")
+    recon.points[10**7] = (np.array([1.5, -0.0, 1e-300]), Track(10**7, []))  # no observations
+    write_reconstruction(out / "new.txt", recon)
+    write_reconstruction_reference(out / "old.txt", recon)
+    assert (out / "new.txt").read_bytes() == (out / "old.txt").read_bytes()
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_synthetic_block_records_read_as_the_oracles_read_them(tmp_path, shuffle):
+    cfg = SynthConfig(image_count=8, point_count=300, pixel_noise=0.5, outlier_rate=0.2,
+                      seed=5, emit_descriptors=True)
+    ds, gt, _, _ = generate_synthetic(cfg)
+    assert ds.pairs and ds.has_descriptors
+    path = tmp_path / "d.txt"
+    write_dataset(path, ds)
+    if shuffle:  # records in any order: every group out of id order
+        lines = path.read_text().split("\n")[:-1]
+        order = np.random.default_rng(2).permutation(len(lines))
+        path.write_text("".join(lines[k] + "\n" for k in order))
+    assert_same_dataset(read_dataset(path), read_dataset_reference(path))
+
+    recon = Reconstruction()
+    for img in sorted(gt["poses"])[::-1]:
+        recon.cameras[img] = (ds.intrinsics[img], gt["poses"][img])
+        recon.registered_order.append(img)
+    for k in range(50):  # point ids out of order
+        pid = k * 7 % 50
+        recon.points[pid] = (gt["points"][k], Track(pid, [(0, k), (3, k + 1)]))
+    path = tmp_path / "r.txt"
+    write_reconstruction(path, recon)
+    if shuffle:
+        lines = path.read_text().split("\n")[:-1]
+        order = np.random.default_rng(3).permutation(len(lines))
+        path.write_text("".join(lines[k] + "\n" for k in order))
+    assert_same_model(read_reconstruction(path, ds.intrinsics),
+                      read_reconstruction_reference(path, ds.intrinsics))
+
+
+@pytest.mark.parametrize("record, line", [("KEYPOINT 0 1_0 2 1", 3), ("IMAGE 1_0 640 480", 3)])
+def test_records_with_digit_underscores_are_rejected(tmp_path, record, line):
+    # the one place the array reader differs from its oracle: np.loadtxt
+    # rejects a field that int() or float() would read with its underscores
+    path = tmp_path / "d.txt"
+    path.write_text(f"INTRINSICS 500 500 320 240\nIMAGE 0 640 480\n{record}\n")
+    read_dataset_reference(path)
+    with pytest.raises(ValueError) as err:
+        read_dataset(path)
+    assert str(err.value) == f"{path}:{line}: non-numeric field in {record.split()[0]} record"
+    model = tmp_path / "r.txt"
+    model.write_text("CAMERA 0 1 0 0 0 0 0 0\nPOINT 1_0 0 0 5 2 0 1 1 1\n")
+    intrinsics = {0: CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)}
+    read_reconstruction_reference(model, intrinsics)
+    with pytest.raises(ValueError) as err:
+        read_reconstruction(model, intrinsics)
+    assert str(err.value) == f"{model}:2: non-numeric field in POINT record"
