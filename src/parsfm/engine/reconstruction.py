@@ -16,7 +16,7 @@ from ..geometry import (
     quaternion_to_matrix,
     solve_bundle,
 )
-from ..textio import Misgrouped, field_count, layout, parse_group, parses, read_records
+from ..textio import field_count, layout, parse_group, parses, read_records
 from .tracks import Track
 
 _F = "%.17g"
@@ -266,15 +266,13 @@ def _kept(tag, rows):
     return rows if tag == "POINT" else (rows["i"][:, 0], rows["f"])
 
 
-def _parse_points(lines, guessed=None):
+def _parse_points(lines):
     """POINT records as ((heads, observations), bad), the shape of
     `parse_group`'s result: a `_POINT_HEAD` row per record and the flat
     (image, keypoint) ids of all, up to the first bad record. The records
     are parsed in groups of one field count."""
     fields = np.fromiter(map(len, map(str.split, lines)), np.int64, len(lines)) - 1
     short = np.flatnonzero(fields < 5)  # not even id, coordinates and count
-    if guessed and short.size:
-        raise Misgrouped
     bad = int(short[0]) if short.size else len(lines)
     width = np.maximum(fields - 5, 0)
     start = np.r_[0, np.cumsum(width)]
@@ -283,8 +281,7 @@ def _parse_points(lines, guessed=None):
     head["fields"] = fields
     for count in np.unique(fields[fields >= 5]).tolist():
         sel = np.flatnonzero(fields == count)
-        rows, k = parse_group([lines[i] for i in sel.tolist()],
-                              layout("POINT", 1, 3, count - 4), guessed)
+        rows, k = parse_group([lines[i] for i in sel.tolist()], layout("POINT", 1, 3, count - 4))
         if k is not None:
             bad = min(bad, int(sel[k]))
         sel = sel[: len(rows)]

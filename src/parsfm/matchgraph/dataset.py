@@ -144,10 +144,10 @@ def _read_records(path):
     without any), and the (line, message) of the bad records the parse found."""
     desc_layout = None
 
-    def parse_desc(lines, guessed):
+    def parse_desc(lines):
         # as wide as the first DESC; one with fewer than 3 fields fails
         width = len(lines[0].split()) - 3
-        return parse_group(lines, desc_layout or layout("DESC", 2, max(width, 1)), guessed)
+        return parse_group(lines, desc_layout or layout("DESC", 2, max(width, 1)))
 
     def keep(tag, rows):
         nonlocal desc_layout

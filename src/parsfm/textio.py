@@ -6,14 +6,9 @@ by tag, in any order, and converts each group with one np.loadtxt call into
 a structured array (`layout`), so every record is checked field by field in
 C: its field count, its integer fields as int64 and its float fields as
 float64. A group that loadtxt rejects is bisected down to its first bad
-record, so a line is looked up only when a record is bad.
-
-Grouping first guesses: from each record whose first token it splits off,
-it takes the run of lines that start with the same tag and a space by
-probing O(log n) of them, and the parsed tag column then checks every line
-of the run. A chunk whose guess fails that check, with a blank, comment or
-other record inside a run, or with a bad record, is grouped again line by
-line.
+record, so a line is looked up only when a record is bad. From each record
+whose first token it splits off, grouping takes the run of lines that start
+with the same tag and a space, checking each with str.startswith.
 
 loadtxt splits on the same whitespace as str.split and parses floats as
 float() does, but it is stricter than Python's int() and float() in one
@@ -25,7 +20,8 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from itertools import repeat
+from itertools import compress, count, islice, repeat
+from operator import not_
 
 import numpy as np
 
@@ -39,8 +35,8 @@ CHUNK_BYTES = 1 << 19
 def layout(tag, ints, floats=0, tail=0):
     """Structured dtype of a record: its tag, `ints` int64 fields, `floats`
     float64 fields, then `tail` int64 fields (the fields 'i', 'f', 'j'). The
-    tag field holds one byte more than the tag, so a longer token differs."""
-    fields = [("tag", f"S{len(tag) + 1}")]
+    tag field takes the first token, which grouping has already checked."""
+    fields = [("tag", f"S{len(tag)}")]
     for name, kind, n in (("i", "<i8", ints), ("f", "<f8", floats), ("j", "<i8", tail)):
         if n:
             fields.append((name, kind, (n,)))
@@ -64,25 +60,13 @@ def parse(lines, dtype):
             raise ValueError(str(exc)) from None
 
 
-class Misgrouped(Exception):
-    """A guessed run of lines held something other than its tag's records."""
-
-
-def parse_group(lines, dtype, guessed=None):
+def parse_group(lines, dtype):
     """(rows, bad): the rows of `lines` before the first record that `parse`
-    rejects, and that record's index in lines (None if there is none). With
-    `guessed`, the tag of a guessed group, raise Misgrouped instead unless
-    every line is a good record of that tag."""
+    rejects, and that record's index in lines (None if there is none)."""
     try:
-        rows = parse(lines, dtype)
+        return parse(lines, dtype), None
     except ValueError:
-        if guessed:
-            raise Misgrouped from None
-    else:
-        # loadtxt skips blank lines, so a row count short of the lines is one
-        if guessed and (len(rows) < len(lines) or (rows["tag"] != guessed.encode()).any()):
-            raise Misgrouped
-        return rows, None
+        pass
     lo, hi = 0, len(lines)  # lines[:lo] parse; lines[lo:hi] holds a bad one
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -178,26 +162,19 @@ def read_records(path, parsers, why, keep, comments=False):
 def scan(path, parsers, comments=False):
     """Read the file a chunk of whole lines at a time, and yield per chunk
     ({tag: (rows, bad, group)}, unknown): for each tag of `parsers` ({tag:
-    parser(lines, guessed=) -> (rows, bad)}, where the parser passes
-    `guessed` on to `parse_group`) its group of the chunk's records and the
-    parser's result, and the (line, tag) of the first record with another
-    tag, or None. Blank lines, and with `comments` lines whose first token
-    starts with '#', are skipped. A chunk with an unknown tag is the last,
-    read up to that record."""
+    parser(lines) -> (rows, bad)}, as `parse_group`) its group of the
+    chunk's records and the parser's result, and the (line, tag) of the
+    first record with another tag, or None. Blank lines, and with
+    `comments` lines whose first token starts with '#', are skipped. A
+    chunk with an unknown tag is the last, read up to that record."""
     first_line = 1
     with open(path) as fh:
         while True:
             chunk = fh.readlines(CHUNK_BYTES)
             if not chunk:
                 return
-            for guess in (True, False):
-                groups, unknown = _group(chunk, first_line, parsers, comments, guess)
-                try:
-                    parsed = {tag: (*parsers[tag](g.lines, guessed=guess and tag), g)
-                              for tag, g in groups.items()}
-                    break
-                except Misgrouped:  # raised for a guess only
-                    pass
+            groups, unknown = _group(chunk, first_line, parsers, comments)
+            parsed = {tag: (*parsers[tag](g.lines), g) for tag, g in groups.items()}
             first_line += len(chunk)
             del chunk, groups
             yield parsed, unknown
@@ -205,7 +182,7 @@ def scan(path, parsers, comments=False):
                 return
 
 
-def _group(chunk, first_line, tags, comments, guess):
+def _group(chunk, first_line, tags, comments):
     groups = {}
     i, n = 0, len(chunk)
     while i < n:
@@ -220,37 +197,13 @@ def _group(chunk, first_line, tags, comments, guess):
         j = i + 1
         prefix = tag + " "
         if line.startswith(prefix):
-            j = (_guess_run_end if guess else _run_end)(chunk, j, prefix)
+            j = _run_end(chunk, j, prefix)
         groups.setdefault(tag, _Group()).add(chunk[i:j], first_line + i)
         i = j
     return groups, None
 
 
 def _run_end(lines, i, prefix):
-    """End of the run of lines from i on that start with prefix, checked in
-    windows that double while they match."""
-    step = 1
-    while i < len(lines):
-        starts = list(map(str.startswith, lines[i : i + step], repeat(prefix)))
-        if False in starts:
-            return i + starts.index(False)
-        i += len(starts)
-        step *= 2
-    return i
-
-
-def _guess_run_end(lines, i, prefix):
-    """`_run_end` found by galloping and bisection, on the guess that the
-    lines between two that start with prefix do too."""
-    n, step = len(lines), 1
-    while i < n and lines[min(i + step, n) - 1].startswith(prefix):
-        i = min(i + step, n)
-        step *= 2
-    hi = min(i + step, n) - 1  # lines[hi] does not start with prefix
-    while i < hi:
-        mid = (i + hi) // 2
-        if lines[mid].startswith(prefix):
-            i = mid + 1
-        else:
-            hi = mid
-    return i
+    """End of the run of lines from i on that start with prefix."""
+    starts = map(str.startswith, islice(lines, i, None), repeat(prefix))
+    return next(compress(count(i), map(not_, starts)), len(lines))

@@ -412,8 +412,8 @@ def test_records_one_edit_from_a_small_file_read_as_the_oracles_read_them(tmp_pa
 
 
 def test_lines_inside_a_run_of_records_keep_later_line_numbers(tmp_path):
-    # a run of one tag is first guessed from a few of its lines; a blank or
-    # comment line inside it must not shift the lines named after it
+    # a run of one tag is grouped as one block of lines; a blank or comment
+    # line inside it must not shift the lines named after it
     path = tmp_path / "d.txt"
     head = ["INTRINSICS 500 500 320 240", "IMAGE 0 640 480"]
     run = [f"KEYPOINT 0 {k} 1 1" for k in range(12)]
