@@ -41,12 +41,6 @@ class Reconstruction:
     def num_points(self) -> int:
         return len(self.points)
 
-    def image_ids(self):
-        return set(self.cameras)
-
-    def next_point_id(self) -> int:
-        return max(self.points, default=-1) + 1
-
     def copy(self) -> "Reconstruction":
         return Reconstruction(
             self.recon_id,
@@ -90,21 +84,21 @@ def camera_arrays(recon: Reconstruction, images):
     )
 
 
-def observation_geometry(recon: Reconstruction, pids, features):
-    """Every observation of the points pids, in that order: (index into pids
-    (m,), camera rotations (m,3,3), translations (m,3), pinhole terms fx fy
-    cx cy (m,4), keypoint pixels (m,2))."""
-    owner, image, keypoint = observation_arrays(recon, pids)
+def observation_geometry(recon, image, keypoint, features):
+    """Per observation (image id, keypoint index): camera rotation (m,3,3),
+    translation (m,3) and pinhole terms fx fy cx cy (m,4) from
+    `recon.cameras`, and keypoint pixels (m,2)."""
     images, slot = np.unique(image, return_inverse=True)
     R, t, K = camera_arrays(recon, images.tolist())
-    return owner, R[slot], t[slot], K[slot], keypoint_pixels(features, image, keypoint)
+    return R[slot], t[slot], K[slot], keypoint_pixels(features, image, keypoint)
 
 
 def mean_reprojection_error(recon: Reconstruction, features) -> float:
     """Mean per-observation reprojection error in pixels (inf if any point
     sits behind its camera)."""
-    owner, R, t, K, px = observation_geometry(recon, recon.points, features)
+    owner, image, keypoint = observation_arrays(recon, recon.points)
     X = np.array([xyz for xyz, _ in recon.points.values()]).reshape(-1, 3)[owner]
+    R, t, K, px = observation_geometry(recon, image, keypoint, features)
     proj, z = pinhole(np.matmul(R, X[:, :, None])[:, :, 0] + t, *K.T)
     err = np.linalg.norm(proj - px, axis=1)
     err[z <= 0] = np.inf

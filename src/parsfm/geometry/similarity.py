@@ -32,6 +32,12 @@ class SimilarityTransform:
         out = self.scale * (pts @ self.rotation.T) + self.translation
         return out.reshape(np.shape(points))
 
+    def apply_each(self, points: np.ndarray) -> np.ndarray:
+        """`apply` on each row of points (n,3) as a single point, bit for
+        bit, in one stacked product (a plain (n,3) product rounds
+        differently)."""
+        return self.scale * np.matmul(points[:, None, :], self.rotation.T)[:, 0] + self.translation
+
     def inverse(self) -> "SimilarityTransform":
         Rinv = self.rotation.T
         return SimilarityTransform(

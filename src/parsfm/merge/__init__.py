@@ -2,6 +2,7 @@ from .correspond import (
     CorrespondenceGraph,
     MatchTable,
     build_correspondence_graph,
+    pair_masks,
     strategy_match_counts,
 )
 from .common import CommonPointSet, find_common_points
@@ -11,7 +12,6 @@ from .merging import (
     MergeReport,
     MergeStep,
     merge_all,
-    merge_pair,
     transform_pose,
 )
 from .geo import (
@@ -38,7 +38,7 @@ __all__ = [
     "find_common_points",
     "georeference",
     "merge_all",
-    "merge_pair",
+    "pair_masks",
     "ransac_similarity",
     "read_gcps",
     "strategy_match_counts",

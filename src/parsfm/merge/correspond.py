@@ -43,44 +43,45 @@ class MatchTable:
 @dataclass
 class CorrespondenceGraph:
     """One-directional source -> reference feature links as two parallel key
-    arrays, sorted by source key."""
+    arrays."""
 
     source_keys: np.ndarray
     reference_keys: np.ndarray
     loaded_match_count: int = 0
 
 
-def _pair_masks(source, reference, table: MatchTable):
-    """Per pair: loaded as a -> b, loaded as b -> a, touches a source image.
-    A pair with both images in both reconstructions loads once, as a -> b."""
-    src = np.fromiter(source.image_ids(), dtype=np.int64)
-    ref = np.fromiter(reference.image_ids(), dtype=np.int64)
+def pair_masks(source, reference, table: MatchTable):
+    """Per pair of the table: loaded as a -> b, loaded as b -> a, touches a
+    source image. A pair with both images in both reconstructions loads
+    once, as a -> b."""
+    src = np.fromiter(source.cameras, dtype=np.int64)
+    ref = np.fromiter(reference.cameras, dtype=np.int64)
     a_src, b_src = np.isin(table.image_a, src), np.isin(table.image_b, src)
     forward = a_src & np.isin(table.image_b, ref)
     backward = ~forward & b_src & np.isin(table.image_a, ref)
     return forward, backward, a_src | b_src
 
 
-def build_correspondence_graph(source, reference, table: MatchTable) -> CorrespondenceGraph:
-    """Load exactly the source-to-reference match pairs."""
-    forward, backward, _ = _pair_masks(source, reference, table)
+def build_correspondence_graph(table: MatchTable, masks) -> CorrespondenceGraph:
+    """Load exactly the pairs of the table that `pair_masks` loads."""
+    forward, backward = masks[:2]
     rows_f = np.repeat(forward, table.size)
     rows_b = np.repeat(backward, table.size)
     src = np.concatenate([table.key_a[rows_f], table.key_b[rows_b]])
     ref = np.concatenate([table.key_b[rows_f], table.key_a[rows_b]])
-    order = np.argsort(src, kind="stable")
-    return CorrespondenceGraph(src[order], ref[order], int(forward.sum() + backward.sum()))
+    return CorrespondenceGraph(src, ref, int(forward.sum() + backward.sum()))
 
 
-def strategy_match_counts(source, reference, table: MatchTable) -> dict:
-    """Loaded-pair counts of the three loading strategies.
+def strategy_match_counts(masks) -> dict:
+    """Loaded-pair counts of the three loading strategies, from the masks of
+    `pair_masks`.
 
     on_demand: only source-to-reference pairs; pairwise: every pair touching
     a source image; all_dataset: the entire match store.
     """
-    forward, backward, touches_src = _pair_masks(source, reference, table)
+    forward, backward, touches_source = masks
     return {
         "on_demand": int(forward.sum() + backward.sum()),
-        "pairwise": int(touches_src.sum()),
-        "all_dataset": len(table.size),
+        "pairwise": int(touches_source.sum()),
+        "all_dataset": len(forward),
     }

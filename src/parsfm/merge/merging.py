@@ -6,10 +6,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..engine import Track, bundle_adjust, mean_reprojection_error
+from ..engine import Reconstruction, Track, bundle_adjust, mean_reprojection_error
 from ..geometry import CameraPose, SimilarityTransform
-from .common import feature_point_index, find_common_points
-from .correspond import MatchTable, build_correspondence_graph, strategy_match_counts
+from .columns import Columns
+from .common import find_common_points
+from .correspond import MatchTable, build_correspondence_graph, pair_masks, strategy_match_counts
 from .ransac import DEFAULT_MERGE_THRESHOLD_PX, MergeFailure, ransac_similarity
 
 
@@ -59,129 +60,160 @@ def transform_pose(pose: CameraPose, T: SimilarityTransform) -> CameraPose:
     return CameraPose(R, t)
 
 
-def merge_pair(global_model, cluster, T, inlier_pairs):
-    """Fold one cluster into the global model (in place) through transform T.
+class Model(Columns):
+    """The growing merge model as columns, with copies of the input's
+    cameras and registered order."""
 
-    inlier_pairs: (cluster point_id, global point_id) fusions; the global
-    point keeps its position and absorbs the cluster observations. Cameras
-    already registered globally stay as they are.
-    """
-    fused = dict(inlier_pairs)
-    for img in cluster.registered_order:
-        if img in global_model.cameras:
-            continue
-        intr, pose = cluster.cameras[img]
-        global_model.cameras[img] = (intr, transform_pose(pose, T))
-        global_model.registered_order.append(img)
+    def __init__(self, recon):
+        super().__init__(recon)
+        self.cameras, self.registered_order = dict(self.cameras), list(self.registered_order)
+        self.recon_id = recon.recon_id
 
-    next_pid = global_model.next_point_id()
-    for spid in sorted(cluster.points):
-        xyz, track = cluster.points[spid]
-        if spid in fused:
-            gxyz, gtrack = global_model.points[fused[spid]]
-            have = {img for img, _ in gtrack.observations}
-            extra = [
-                (img, kp)
-                for img, kp in track.observations
-                if img not in have and img in global_model.cameras
-            ]
-            if extra:
-                gtrack.observations = sorted(gtrack.observations + extra)
-        else:
-            obs = [
-                (img, kp)
-                for img, kp in track.observations
-                if img in global_model.cameras
-            ]
-            if len(obs) < 2:
-                continue
-            global_model.points[next_pid] = (
-                T.apply(xyz).reshape(3),
-                Track(next_pid, sorted(obs)),
-            )
-            next_pid += 1
-    return global_model
+    def merge(self, cluster: Columns, T, inlier_pairs):
+        """Fold a cluster into the model through the similarity T, taking
+        the cluster points in id order.
+
+        inlier_pairs: (cluster point id, model point id) fusions, the last
+        pair of a cluster point counting. A fused model point keeps its
+        position and takes the cluster point's observations in registered
+        images it does not see yet. Each other cluster point with two or
+        more observations in registered images becomes a new point, with the
+        next free id. Cameras the model holds stay as they are. A track that
+        grows is sorted, and so is a new one.
+        """
+        for img in cluster.registered_order:
+            if img not in self.cameras:
+                intr, pose = cluster.cameras[img]
+                self.cameras[img] = (intr, transform_pose(pose, T))
+                self.registered_order.append(img)
+        fused = dict(inlier_pairs)
+        target = np.full(len(cluster.pids), -1)
+        target[cluster.rows_of(list(fused))] = self.rows_of(list(fused.values()))
+        rank = np.argsort(np.argsort(cluster.pids))  # of each row in id order
+        seen = np.flatnonzero(np.isin(cluster.image, np.fromiter(self.cameras, np.int64)))
+        seen = seen[np.argsort(rank[cluster.row[seen]], kind="stable")]
+        row, image, keypoint = cluster.row[seen], cluster.image[seen], cluster.keypoint[seen]
+        to = target[row]
+        fuse = to >= 0
+
+        # per (model point, image), the first cluster observation, unless
+        # the model point sees that image already
+        targets = np.unique(to[fuse])
+        owner, have, _ = self.observations(targets)
+        key = to[fuse] << 32 | image[fuse]
+        first = np.unique(key, return_index=True)[1]
+        first = first[~np.isin(key[first], targets[owner] << 32 | have)]
+        extra = [col[fuse][first] for col in (to, image, keypoint)]
+
+        # the other cluster points with two or more such observations
+        n_obs = np.bincount(row[~fuse], minlength=len(cluster.pids))
+        new = np.flatnonzero(n_obs >= 2)
+        new = new[np.argsort(rank[new])]
+        new_row = np.full(len(cluster.pids), -1)
+        new_row[new] = len(self.pids) + np.arange(len(new))
+        add = ~fuse & (n_obs[row] >= 2)
+        added = [new_row[row[add]], image[add], keypoint[add]]
+
+        # the tracks that grow are sorted with their new observations
+        grows = np.zeros(len(self.pids), bool)
+        grows[extra[0]] = True
+        keep = ~grows[self.row]
+        columns = self.row, self.image, self.keypoint
+        moved = [np.r_[col[~keep], e, a] for col, e, a in zip(columns, extra, added)]
+        by_track = np.lexsort(moved[::-1])
+        obs = [np.r_[col[keep], m[by_track]] for col, m in zip(columns, moved)]
+        by_row = np.argsort(obs[0], kind="stable")
+        self.pids = np.r_[self.pids, self.pids.max(initial=-1) + 1 + np.arange(len(new))]
+        self.xyz = np.vstack([self.xyz, T.apply_each(cluster.xyz[new])])
+        self.set_observations(*(col[by_row] for col in obs))
+
+    def reconstruction(self) -> Reconstruction:
+        """The model as a dict Reconstruction, points in row order."""
+        images, at = np.unique(self.image, return_inverse=True)
+        images = images.tolist()  # one int object per image id and keypoint
+        keypoints = list(range(self.keypoint.max(initial=-1) + 1))
+        obs = list(zip(
+            map(images.__getitem__, at.tolist()),
+            map(keypoints.__getitem__, self.keypoint.tolist()),
+        ))
+        pids, ends = self.pids.tolist(), self.start.tolist()
+        tracks = map(Track, pids, map(obs.__getitem__, map(slice, ends[:-1], ends[1:])))
+        points = dict(zip(pids, zip(self.xyz, tracks)))
+        return Reconstruction(self.recon_id, self.cameras, points, self.registered_order)
 
 
-def _evaluate_cluster(model, model_index, cluster, table):
+def _evaluate(model, cluster, table):
     """Common points of a cluster against the model, with the smaller
-    reconstruction as traversal source. model_index is the model's
-    `feature_point_index`. Returns (common, cluster_is_source, strategy
-    counts)."""
+    reconstruction as traversal source. Returns (common, cluster_is_source,
+    strategy counts)."""
     if cluster.num_cameras() <= model.num_cameras():
         source, reference, forward = cluster, model, True
     else:
         source, reference, forward = model, cluster, False
-    cg = build_correspondence_graph(source, reference, table)
-    common = find_common_points(cg, source, reference, model_index if forward else None)
-    counts = strategy_match_counts(source, reference, table)
-    assert cg.loaded_match_count == counts["on_demand"]
-    return common, forward, counts
+    masks = pair_masks(source, reference, table)
+    cg = build_correspondence_graph(table, masks)
+    common = find_common_points(cg, source, reference)
+    return common, forward, strategy_match_counts(masks)
+
+
+def _merge_next(model, remaining, table, features, opts, rng):
+    """One pass: evaluate every remaining cluster, then merge the first one
+    that aligns, largest common count first, and drop it from `remaining`.
+    Returns its MergeStep, or None when no cluster aligns."""
+    candidates = [(idx, *_evaluate(model, remaining[idx], table)) for idx in sorted(remaining)]
+    candidates.sort(key=lambda c: (-len(c[1]), c[0]))
+    for idx, common, forward, counts in candidates:
+        cluster = remaining[idx]
+        source, reference = (cluster, model) if forward else (model, cluster)
+        try:
+            T, mask, mse = ransac_similarity(
+                common, source, reference, features, threshold_px=opts.threshold_px, rng=rng
+            )
+        except MergeFailure:
+            continue
+        inliers = [p for p, keep in zip(common.pairs, mask) if keep]
+        if not forward:
+            T = T.inverse()
+            inliers = [(r, s) for s, r in inliers]
+        model.merge(cluster, T, inliers)
+        del remaining[idx]
+        return MergeStep(
+            cluster_index=idx,
+            common_count=len(common),
+            inlier_count=int(mask.sum()),
+            inlier_ratio=float(mask.sum()) / max(len(common), 1),
+            mse=mse,
+            loaded_match_counts=counts,
+        )
+    return None
 
 
 def merge_all(global_model, clusters, features, match_pairs, opts: MergeOptions = None):
     """Merge every cluster into the global model, largest common count first.
 
     Clusters that fail alignment are retried after the model grows; when a
-    whole pass yields no merge the remainder is dropped and reported.
-    Returns (merged Reconstruction, MergeReport); the input model is copied.
+    whole pass yields no merge the remainder is dropped and reported. The
+    model and clusters are merged as columns (`Model`, `Columns`), and the
+    merged model becomes a dict Reconstruction before the final BA.
+    Returns (merged Reconstruction, MergeReport); the inputs stay as they are.
     """
     opts = opts or MergeOptions()
-    model = global_model.copy()
+    model = Model(global_model)
     rng = np.random.default_rng(opts.rng_seed)
-    remaining = dict(enumerate(clusters))
-    report = MergeReport()
     table = MatchTable.from_pairs(match_pairs)
-
+    remaining = {idx: Columns(cluster) for idx, cluster in enumerate(clusters)}
+    report = MergeReport()
     while remaining:
-        # the model changes only when a cluster merges, so once per pass
-        model_index = feature_point_index(model)
-        candidates = []
-        for idx in sorted(remaining):
-            common, forward, counts = _evaluate_cluster(
-                model, model_index, remaining[idx], table
-            )
-            candidates.append((idx, common, forward, counts))
-        candidates.sort(key=lambda c: (-len(c[1]), c[0]))
-        merged = False
-        for idx, common, forward, counts in candidates:
-            cluster = remaining[idx]
-            source, reference = (cluster, model) if forward else (model, cluster)
-            try:
-                T, mask, mse = ransac_similarity(
-                    common,
-                    source,
-                    reference,
-                    features,
-                    threshold_px=opts.threshold_px,
-                    rng=rng,
-                )
-            except MergeFailure:
-                continue
-            inliers = [p for p, keep in zip(common.pairs, mask) if keep]
-            if not forward:
-                T = T.inverse()
-                inliers = [(r, s) for s, r in inliers]
-            merge_pair(model, cluster, T, inliers)
-            report.steps.append(
-                MergeStep(
-                    cluster_index=idx,
-                    common_count=len(common),
-                    inlier_count=int(mask.sum()),
-                    inlier_ratio=float(mask.sum()) / max(len(common), 1),
-                    mse=mse,
-                    loaded_match_counts=counts,
-                )
-            )
-            del remaining[idx]
-            merged = True
+        step = _merge_next(model, remaining, table, features, opts, rng)
+        if step is None:
             break
-        if not merged:
-            report.dropped = sorted(remaining)
-            break
+        report.steps.append(step)
+    report.dropped = sorted(remaining)
 
-    del table  # the final BA sets the peak memory
-    report.error_before_final_ba = mean_reprojection_error(model, features)
-    bundle_adjust(model, features)
-    report.error_after_final_ba = mean_reprojection_error(model, features)
-    return model, report
+    del table, remaining
+    merged = model.reconstruction()
+    del model  # the final BA sets the peak memory
+    report.error_before_final_ba = mean_reprojection_error(merged, features)
+    bundle_adjust(merged, features)
+    report.error_after_final_ba = mean_reprojection_error(merged, features)
+    return merged, report

@@ -12,6 +12,7 @@ from ..geometry import (
     pinhole,
     umeyama_similarity,
 )
+from .columns import as_columns
 
 DEFAULT_MERGE_THRESHOLD_PX = 1.8
 MIN_INLIER_RATIO = 0.2
@@ -32,22 +33,27 @@ class BidirectionalResiduals:
         r^2 = (sum_ref + sum_src) / (m + l),
     and r is +inf when any of these projections falls behind its camera.
     The point positions (src_pos, ref_pos) and the observations of every
-    pair are gathered once; each call projects them all at once.
+    pair are gathered once; each call projects them all at once. source and
+    reference are `Columns` or reconstructions.
     """
 
     def __init__(self, pairs, source, reference, features):
         n = self.n = len(pairs)
-        self.src_pos = np.array([source.points[s][0] for s, _ in pairs]).reshape(n, 3)
-        self.ref_pos = np.array([reference.points[r][0] for _, r in pairs]).reshape(n, 3)
+
+        def gather(recon, pids):
+            recon = as_columns(recon)
+            rows = recon.rows_of(np.array(pids, dtype=np.int64))
+            owner, image, keypoint = recon.observations(rows)
+            return recon.xyz[rows], owner, *observation_geometry(recon, image, keypoint, features)
+
         # reference observations score the mapped source points, and vice versa
-        ref_owner, *ref_obs = observation_geometry(reference, [r for _, r in pairs], features)
-        src_owner, *src_obs = observation_geometry(source, [s for s, _ in pairs], features)
-        self.ref_owner, self.src_owner = ref_owner, src_owner
+        self.ref_pos, self.ref_owner, *ref_obs = gather(reference, [r for _, r in pairs])
+        self.src_pos, self.src_owner, *src_obs = gather(source, [s for s, _ in pairs])
         self.R, self.t, self.K, self.px = (
             np.concatenate(parts) for parts in zip(ref_obs, src_obs)
         )
         # pair i sums its reference side into slot i and its source side into n + i
-        self.slot = np.concatenate([ref_owner, n + src_owner])
+        self.slot = np.concatenate([self.ref_owner, n + self.src_owner])
         counts = np.bincount(self.slot, minlength=2 * n)
         self.count = counts[:n] + counts[n:]
 

@@ -199,7 +199,7 @@ def common_points_reference(source, reference, pairs):
     tie. A feature in two reference tracks belongs to the later point in
     `reference.points` order.
     """
-    src_images, ref_images = source.image_ids(), reference.image_ids()
+    src_images, ref_images = set(source.cameras), set(reference.cameras)
     mapping = {}
     loaded = 0
     for pair in pairs:
@@ -589,3 +589,141 @@ def write_reconstruction_reference(path, recon):
         lines.append(f"POINT {pid} {coords} {len(track.observations)} {obs}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def feature_point_index_reference(recon):
+    """(sorted feature keys, owning point ids) over every track of a
+    reconstruction, as the dict merge built it on every pass. A feature in
+    two tracks belongs to the point later in `recon.points` order."""
+    from parsfm.engine.reconstruction import observation_arrays
+    from parsfm.merge.correspond import feature_keys
+
+    pids = np.fromiter(recon.points, dtype=np.int64, count=len(recon.points))
+    owner, image, keypoint = observation_arrays(recon, recon.points)
+    # np.unique keeps the first of equal keys, so look from the back
+    keys, last = np.unique(feature_keys(image, keypoint)[::-1], return_index=True)
+    return keys, pids[owner[::-1][last]]
+
+
+def merge_pair_reference(global_model, cluster, T, inlier_pairs):
+    """The dict merge step the column merge replaced, as its oracle: fold
+    one cluster into the global model (in place) through transform T, one
+    point and one observation at a time.
+
+    inlier_pairs: (cluster point_id, global point_id) fusions; the global
+    point keeps its position and absorbs the cluster observations. Cameras
+    already registered globally stay as they are.
+    """
+    from parsfm.engine import Track
+    from parsfm.merge import transform_pose
+
+    fused = dict(inlier_pairs)
+    for img in cluster.registered_order:
+        if img in global_model.cameras:
+            continue
+        intr, pose = cluster.cameras[img]
+        global_model.cameras[img] = (intr, transform_pose(pose, T))
+        global_model.registered_order.append(img)
+
+    next_pid = max(global_model.points, default=-1) + 1
+    for spid in sorted(cluster.points):
+        xyz, track = cluster.points[spid]
+        if spid in fused:
+            gxyz, gtrack = global_model.points[fused[spid]]
+            have = {img for img, _ in gtrack.observations}
+            extra = [
+                (img, kp)
+                for img, kp in track.observations
+                if img not in have and img in global_model.cameras
+            ]
+            if extra:
+                gtrack.observations = sorted(gtrack.observations + extra)
+        else:
+            obs = [(img, kp) for img, kp in track.observations if img in global_model.cameras]
+            if len(obs) < 2:
+                continue
+            global_model.points[next_pid] = (T.apply(xyz).reshape(3), Track(next_pid, sorted(obs)))
+            next_pid += 1
+    return global_model
+
+
+def merge_all_reference(global_model, clusters, features, match_pairs, opts=None):
+    """The dict `merge_all` loop the column merge replaced, as its oracle.
+
+    Each evaluation is `common_points_reference` with the smaller side as
+    source, and each merge is `merge_pair_reference`. Returns (merged
+    Reconstruction, MergeReport, log): the log lists ("evaluate", cluster
+    index, cluster is source, common pairs, support, loaded pair count),
+    ("fail", cluster index) and ("merge", cluster index) in the order they
+    happened.
+    """
+    from parsfm.engine import bundle_adjust, mean_reprojection_error
+    from parsfm.merge import (
+        CommonPointSet,
+        MergeFailure,
+        MergeOptions,
+        MergeReport,
+        MergeStep,
+        ransac_similarity,
+    )
+
+    opts = opts or MergeOptions()
+    model = global_model.copy()
+    rng = np.random.default_rng(opts.rng_seed)
+    remaining = dict(enumerate(clusters))
+    report, log = MergeReport(), []
+
+    while remaining:
+        candidates = []
+        for idx in sorted(remaining):
+            cluster = remaining[idx]
+            forward = cluster.num_cameras() <= model.num_cameras()
+            source, reference = (cluster, model) if forward else (model, cluster)
+            pairs, support, loaded = common_points_reference(source, reference, match_pairs)
+            src = set(source.cameras)
+            counts = {
+                "on_demand": loaded,
+                "pairwise": sum(p.image_id_a in src or p.image_id_b in src for p in match_pairs),
+                "all_dataset": len(match_pairs),
+            }
+            log.append(("evaluate", idx, forward, pairs, support, loaded))
+            candidates.append((idx, CommonPointSet(pairs, support), forward, counts))
+        candidates.sort(key=lambda c: (-len(c[1]), c[0]))
+        merged = False
+        for idx, common, forward, counts in candidates:
+            cluster = remaining[idx]
+            source, reference = (cluster, model) if forward else (model, cluster)
+            try:
+                T, mask, mse = ransac_similarity(
+                    common, source, reference, features, threshold_px=opts.threshold_px, rng=rng
+                )
+            except MergeFailure:
+                log.append(("fail", idx))
+                continue
+            inliers = [p for p, keep in zip(common.pairs, mask) if keep]
+            if not forward:
+                T = T.inverse()
+                inliers = [(r, s) for s, r in inliers]
+            merge_pair_reference(model, cluster, T, inliers)
+            log.append(("merge", idx))
+            report.steps.append(
+                MergeStep(
+                    cluster_index=idx,
+                    common_count=len(common),
+                    inlier_count=int(mask.sum()),
+                    inlier_ratio=float(mask.sum()) / max(len(common), 1),
+                    mse=mse,
+                    loaded_match_counts=counts,
+                )
+            )
+            del remaining[idx]
+            merged = True
+            break
+        if not merged:
+            report.dropped = sorted(remaining)
+            break
+
+    report.error_before_final_ba = mean_reprojection_error(model, features)
+    bundle_adjust(model, features)
+    report.error_after_final_ba = mean_reprojection_error(model, features)
+    return model, report, log

@@ -32,6 +32,7 @@ from parsfm.merge import (
     build_correspondence_graph,
     find_common_points,
     georeference,
+    pair_masks,
     ransac_similarity,
 )
 from parsfm.pipeline import (
@@ -198,7 +199,8 @@ class TestSimilarityEstimation:
         src_model = gt_reconstruction(scene)
         T = random_similarity(np.random.default_rng(22))
         ref_model = transform_recon(src_model, T)
-        cg = build_correspondence_graph(src_model, ref_model, MatchTable.from_pairs(scene["pairs"]))
+        table = MatchTable.from_pairs(scene["pairs"])
+        cg = build_correspondence_graph(table, pair_masks(src_model, ref_model, table))
         common = find_common_points(cg, src_model, ref_model)
         n = len(common.pairs)
         rng2 = np.random.default_rng(23)

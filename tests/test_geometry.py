@@ -647,6 +647,21 @@ class TestUmeyama:
         assert np.allclose(I.rotation, np.eye(3), atol=1e-9)
         assert np.allclose(I.translation, 0, atol=1e-9)
 
+    def test_stacked_apply_equals_per_point_apply_bit_for_bit(self):
+        rng = np.random.default_rng(43)
+        plain_differs = 0
+        for _ in range(30):
+            T = SimilarityTransform(
+                float(rng.uniform(0.5, 2.0)), random_rotation(rng), rng.uniform(-50, 50, 3)
+            )
+            X = rng.normal(scale=100.0, size=(2000, 3))
+            expect = np.array([T.apply(x).reshape(3) for x in X])
+            assert np.array_equal(T.apply_each(X), expect)
+            plain_differs += not np.array_equal(T.apply(X), expect)
+        # the plain (n,3) product rounds differently, so the test can tell
+        assert plain_differs > 0
+        assert T.apply_each(np.empty((0, 3))).shape == (0, 3)
+
 
 class TestRotationClosure:
     def test_produced_rotations_orthonormal(self):

@@ -6,6 +6,7 @@ from parsfm.engine import (
     Track,
     mean_reprojection_error,
     validate_reconstruction,
+    write_reconstruction,
 )
 from parsfm.geometry import SimilarityTransform
 from parsfm.matchgraph import FeatureSet, MatchPair
@@ -19,7 +20,7 @@ from parsfm.merge import (
     find_common_points,
     georeference,
     merge_all,
-    merge_pair,
+    pair_masks,
     ransac_similarity,
     read_gcps,
     strategy_match_counts,
@@ -27,9 +28,18 @@ from parsfm.merge import (
     write_gcps,
 )
 from parsfm.merge import merging
+from parsfm.merge.columns import Columns
 from parsfm.merge.correspond import feature_keys
+from parsfm.merge.merging import Model
 
-from helpers import common_points_reference, make_scene, random_rotation
+from helpers import (
+    common_points_reference,
+    feature_point_index_reference,
+    make_scene,
+    merge_all_reference,
+    merge_pair_reference,
+    random_rotation,
+)
 
 
 def gt_reconstruction(scene, images=None, recon_id=0):
@@ -43,6 +53,12 @@ def gt_reconstruction(scene, images=None, recon_id=0):
         obs = sorted((img, k) for img in images)
         recon.points[k] = (scene["points"][k].copy(), Track(k, obs))
     return recon
+
+
+def correspondence_graph(source, reference, pairs):
+    """The correspondence graph of two reconstructions over the match pairs."""
+    table = MatchTable.from_pairs(pairs)
+    return build_correspondence_graph(table, pair_masks(source, reference, table))
 
 
 def transform_recon(recon, T):
@@ -68,7 +84,7 @@ class TestCorrespondenceGraph:
         b = make_scene(n_cams=4, n_pts=30, seed=1, id_offset=10, offset=(100, 0, 0))
         src = gt_reconstruction(b)
         ref = gt_reconstruction(a)
-        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(a["pairs"] + b["pairs"]))
+        cg = correspondence_graph(src, ref, a["pairs"] + b["pairs"])
         assert cg.loaded_match_count == 0
         assert cg.source_keys.size == cg.reference_keys.size == 0
 
@@ -76,7 +92,7 @@ class TestCorrespondenceGraph:
         scene = make_scene(n_cams=8, n_pts=40, seed=2)
         src = gt_reconstruction(scene, images=[0, 1, 2, 3], recon_id=1)
         ref = gt_reconstruction(scene, images=[4, 5, 6, 7], recon_id=2)
-        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(scene["pairs"]))
+        cg = correspondence_graph(src, ref, scene["pairs"])
         expect = sum(
             1
             for p in scene["pairs"]
@@ -91,10 +107,10 @@ class TestCorrespondenceGraph:
         src = gt_reconstruction(scene, images=[0, 1, 2])
         ref = gt_reconstruction(scene, images=[3, 4, 5, 6])
         table = MatchTable.from_pairs(scene["pairs"])
-        counts = strategy_match_counts(src, ref, table)
+        counts = strategy_match_counts(pair_masks(src, ref, table))
         assert counts["on_demand"] <= counts["pairwise"] <= counts["all_dataset"]
         assert counts["on_demand"] < counts["pairwise"]
-        cg = build_correspondence_graph(src, ref, table)
+        cg = build_correspondence_graph(table, pair_masks(src, ref, table))
         assert cg.loaded_match_count == counts["on_demand"]
 
 
@@ -102,7 +118,7 @@ class TestFindCommonPoints:
     def test_identity_pairs_every_point(self):
         scene = make_scene(n_cams=6, n_pts=30, seed=4)
         recon = gt_reconstruction(scene)
-        cg = build_correspondence_graph(recon, recon, MatchTable.from_pairs(scene["pairs"]))
+        cg = correspondence_graph(recon, recon, scene["pairs"])
         common = find_common_points(cg, recon, recon)
         assert sorted(common.pairs) == [(k, k) for k in range(30)]
 
@@ -110,7 +126,7 @@ class TestFindCommonPoints:
         scene = make_scene(n_cams=12, n_pts=40, seed=5)
         src = gt_reconstruction(scene, images=range(6, 12))
         ref = gt_reconstruction(scene, images=range(0, 8))
-        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(scene["pairs"]))
+        cg = correspondence_graph(src, ref, scene["pairs"])
         common = find_common_points(cg, src, ref)
         assert sorted(common.pairs) == [(k, k) for k in range(40)]
 
@@ -178,14 +194,14 @@ class TestCommonPointsOracle:
             source, reference, pairs = random_join_case(rng)
             table = MatchTable.from_pairs(pairs)
             for src, ref in ((source, reference), (reference, source)):
-                cg = build_correspondence_graph(src, ref, table)
+                cg = build_correspondence_graph(table, pair_masks(src, ref, table))
                 common = find_common_points(cg, src, ref)
                 expect, support, loaded = common_points_reference(src, ref, pairs)
                 assert (common.pairs, common.support) == (expect, support)
                 assert cg.loaded_match_count == loaded
-                assert strategy_match_counts(src, ref, table)["on_demand"] == loaded
+                assert strategy_match_counts(pair_masks(src, ref, table))["on_demand"] == loaded
                 seen["unlinked"] += len(common) < src.num_points()
-            both = source.image_ids() & reference.image_ids()
+            both = source.cameras.keys() & reference.cameras.keys()
             seen["both_ways"] += any({p.image_id_a, p.image_id_b} <= both for p in pairs)
             feats = [o for _, t in reference.points.values() for o in t.observations]
             seen["feature_in_two_tracks"] += len(set(feats)) < len(feats)
@@ -339,7 +355,7 @@ class TestRansacSimilarity:
         src = gt_reconstruction(scene)
         T = random_similarity(np.random.default_rng(seed + 100))
         ref = transform_recon(src, T)
-        cg = build_correspondence_graph(src, ref, MatchTable.from_pairs(scene["pairs"]))
+        cg = correspondence_graph(src, ref, scene["pairs"])
         common = find_common_points(cg, src, ref)
         return scene, src, ref, T, common
 
@@ -376,6 +392,29 @@ class TestRansacSimilarity:
             ransac_similarity(common, src, ref, scene["features"], rng=0)
 
 
+def merge_columns(model, cluster, T, inlier_pairs):
+    """One column merge of a cluster into a copy of the model, as a dict
+    Reconstruction."""
+    merged = Model(model)
+    merged.merge(Columns(cluster), T, inlier_pairs)
+    return merged.reconstruction()
+
+
+def assert_same_model(got, expect):
+    """Equal dict models: cameras, registered order, point ids in dict
+    order, coordinates bit for bit and every track in order."""
+    assert list(got.cameras) == list(expect.cameras)
+    for img, (intr, pose) in expect.cameras.items():
+        assert got.cameras[img][0] == intr
+        assert np.array_equal(got.cameras[img][1].rotation, pose.rotation)
+        assert np.array_equal(got.cameras[img][1].translation, pose.translation)
+    assert got.registered_order == expect.registered_order
+    assert list(got.points) == list(expect.points)
+    for pid, (xyz, track) in expect.points.items():
+        assert np.array_equal(got.points[pid][0], xyz)
+        assert got.points[pid][1] == track
+
+
 class TestMergePair:
     def test_self_merge_identity_idempotent(self):
         scene = make_scene(n_cams=5, n_pts=30, seed=18)
@@ -384,16 +423,14 @@ class TestMergePair:
         before_obs = {
             pid: list(t.observations) for pid, (_, t) in recon.points.items()
         }
-        merged = merge_pair(
-            recon,
-            recon.copy(),
-            SimilarityTransform.identity(),
-            [(k, k) for k in recon.points],
-        )
+        pairs = [(k, k) for k in recon.points]
+        T = SimilarityTransform.identity()
+        merged = merge_columns(recon, recon.copy(), T, pairs)
         assert set(merged.cameras) == set(before_cams)
         assert set(merged.points) == set(before_obs)
         for pid, (_, t) in merged.points.items():
             assert t.observations == before_obs[pid]
+        assert_same_model(merged, merge_pair_reference(recon.copy(), recon, T, pairs))
 
     def test_two_half_scenes_fused(self):
         scene = make_scene(n_cams=10, n_pts=40, seed=19)
@@ -402,15 +439,29 @@ class TestMergePair:
         right = transform_recon(
             gt_reconstruction(scene, images=range(4, 10)), T
         )
-        merged = merge_pair(
-            left, right, T.inverse(), [(k, k) for k in range(40)]
-        )
+        pairs = [(k, k) for k in range(40)]
+        merged = merge_columns(left, right, T.inverse(), pairs)
         assert set(merged.cameras) == set(range(10))
         assert merged.num_points() == 40
         for pid, (_, t) in merged.points.items():
             assert {img for img, _ in t.observations} == set(range(10))
         validate_reconstruction(merged, scene["features"])
         assert mean_reprojection_error(merged, scene["features"]) < 1e-9
+        assert_same_model(merged, merge_pair_reference(left.copy(), right, T.inverse(), pairs))
+
+    def test_feature_in_two_tracks_goes_to_the_later_point(self):
+        scene = make_scene(n_cams=4, n_pts=10, seed=33)
+        model = gt_reconstruction(scene, images=[0, 1, 2])
+        cluster = gt_reconstruction(scene, images=[1, 2, 3], recon_id=1)
+        # cluster point 5 is not fused, so it becomes a new point on the
+        # features (1, 5) and (2, 5) that model point 5 owns
+        pairs = [(k, k) for k in range(10) if k != 5]
+        merged = Model(model)
+        merged.merge(Columns(cluster), SimilarityTransform.identity(), pairs)
+        keys, pids = feature_point_index_reference(merged.reconstruction())
+        assert merged.owners(keys).tolist() == merged.rows_of(pids).tolist()
+        twice = feature_keys([1, 2], [5, 5])
+        assert merged.pids[merged.owners(twice)].tolist() == [10, 10]
 
 
 class TestMergeAll:
@@ -472,20 +523,23 @@ class TestMergeAll:
             clusters.append(recon)
         calls = []
 
-        def spy(cg, source, reference, *index):
-            common = find_common_points(cg, source, reference, *index)
-            pairs, support, loaded = common_points_reference(source, reference, scene["pairs"])
-            calls.append((reference.num_cameras(), source.num_cameras(), index))
-            assert (common.pairs, common.support) == (pairs, support)
-            assert cg.loaded_match_count == loaded
+        def spy(cg, source, reference):
+            common = find_common_points(cg, source, reference)
+            # the model's feature index answers only where it is the reference
+            calls.append(
+                (isinstance(reference, Model), common.pairs, common.support, cg.loaded_match_count)
+            )
             return common
 
         monkeypatch.setattr(merging, "find_common_points", spy)
         merged, report = merge_all(skeleton, clusters, scene["features"], scene["pairs"])
+        _, _, log = merge_all_reference(skeleton, clusters, scene["features"], scene["pairs"])
+        expect = [entry[2:] for entry in log if entry[0] == "evaluate"]
+        assert calls == expect
         assert set(merged.cameras) == set(range(12))
         # the 6-image cluster is the reference against the 4-image skeleton
-        assert any(ref > src for ref, src, _ in calls)
-        assert any(index[0] is not None for _, _, index in calls)
+        assert any(not forward for forward, *_ in calls)
+        assert any(forward for forward, *_ in calls)
 
     def test_merge_order_by_common_count(self):
         scene = make_scene(n_cams=12, n_pts=60, seed=25)
@@ -498,6 +552,156 @@ class TestMergeAll:
         )
         assert [s.cluster_index for s in report.steps] == [0, 1]
         assert set(merged.cameras) == set(range(12))
+
+
+def shuffled_model(scene, images, tracks, rng, recon_id=0, T=None, pid_base=0):
+    """A model over `images` of a ring scene, moved by T. tracks maps each
+    world point to the images that observe it; observations, cameras,
+    registered order and points all come in shuffled order, and point ids
+    are a shuffled `pid_base + range`, so rows, ids and orders differ."""
+    T = T or SimilarityTransform.identity()
+    recon = Reconstruction(recon_id=recon_id)
+    for img in rng.permutation(images).tolist():
+        recon.cameras[img] = (scene["intrinsics"][img], transform_pose(scene["gt_poses"][img], T))
+    recon.registered_order = rng.permutation(images).tolist()
+    ids = dict(zip(tracks, (pid_base + rng.permutation(len(tracks))).tolist()))
+    for k in rng.permutation(list(tracks)).tolist():
+        obs = [(img, k) for img in rng.permutation(tracks[k]).tolist()]
+        pid = ids[k]
+        recon.points[pid] = (T.apply(scene["points"][k]).reshape(3), Track(pid, obs))
+    return recon
+
+
+def random_merge_case(rng):
+    """A noisy ring split into a skeleton arc and overlapping cluster arcs,
+    some of them larger than the skeleton. Each model observes each of its
+    points in a random subset of its images; a cluster may have a fifth of
+    its points moved far off (so they stay unfused and become new points on
+    features the model owns), and a far block with no cross pairs may join
+    as a cluster that is dropped. Each cluster also holds three ghosts of
+    its points: copies with one observation on a new keypoint at the same
+    pixel, which fuse into the model point of the original, so which cluster
+    point's observation a model point takes matters."""
+    n = int(rng.integers(10, 14))
+    scene = make_scene(n_cams=n, n_pts=40, noise=0.3, seed=int(rng.integers(1 << 30)))
+    features, pairs = dict(scene["features"]), list(scene["pairs"])
+
+    def model(images, recon_id, pid_base, T=None):
+        tracks = {}
+        for k in range(40):
+            if rng.random() < 0.9:
+                size = int(rng.integers(2, len(images) + 1))
+                tracks[k] = rng.choice(images, size=size, replace=False).tolist()
+        return shuffled_model(scene, images, tracks, rng, recon_id, T, pid_base)
+
+    skeleton = model([0, 1, 2], 0, 0)
+    clusters, first = [], 2 - int(rng.integers(0, 2))
+    while first < n:
+        images = [(first + j) % n for j in range(int(rng.integers(3, 6)))]
+        k = len(clusters) + 1
+        cluster = model(images, k, 1000 * k, random_similarity(rng))
+        if rng.random() < 0.5:
+            for pid in rng.choice(list(cluster.points), size=8, replace=False).tolist():
+                xyz, track = cluster.points[pid]
+                cluster.points[pid] = (xyz + rng.normal(0.0, 20.0, 3), track)
+        for pid in rng.choice(list(cluster.points), size=3, replace=False).tolist():
+            # a ghost: the same point, one observation on a new keypoint at
+            # the same pixel, so two cluster points fuse into one model point
+            xyz, track = cluster.points[pid]
+            (img, kp), *rest = track.observations
+            fs = features[img]
+            features[img] = FeatureSet(img, np.vstack([fs.keypoints, fs.keypoints[kp]]),
+                                       np.vstack([fs.descriptors, fs.descriptors[kp]]))
+            cluster.points[pid + 50] = (xyz.copy(), Track(pid + 50, [(img, len(fs))] + rest))
+        clusters.append(cluster)
+        first += len(images) - int(rng.integers(0, 3))
+    if rng.random() < 0.3:
+        far = make_scene(n_cams=4, n_pts=20, seed=int(rng.integers(1 << 30)), id_offset=100,
+                         offset=(500, 0, 0))
+        features.update(far["features"])
+        pairs += far["pairs"]
+        at = int(rng.integers(len(clusters) + 1))
+        tracks = {k: far["images"] for k in range(20)}
+        clusters.insert(at, shuffled_model(far, far["images"], tracks, rng, 9, None, 900))
+    return skeleton, clusters, features, pairs
+
+
+def retry_case(rng):
+    """A cluster X that is tried first and fails, then merges once Z has.
+
+    X observes its points 20..59, moved far off, only in images 10 and 11
+    next to the skeleton, and its points 0..19 only in images 6 and 7 next
+    to Z, which holds points 0..19. X's 40 common points with the skeleton
+    are all outliers; after Z merges, a third of X's common points fit.
+    X has more cameras than the skeleton, so the model is its source in the
+    first pass and its reference in the second.
+    """
+    scene = make_scene(n_cams=12, n_pts=60, noise=0.3, seed=41)
+    skeleton = shuffled_model(scene, [0, 1, 2], {k: [0, 1, 2] for k in range(60)}, rng)
+    z = shuffled_model(scene, [3, 4, 5], {k: [3, 4, 5] for k in range(20)}, rng, 1,
+                       random_similarity(rng), 100)
+    tracks = {k: [6, 7] if k < 20 else [10, 11] for k in range(60)}
+    x = shuffled_model(scene, [6, 7, 10, 11], tracks, rng, 2, random_similarity(rng), 200)
+    for pid, (xyz, track) in x.points.items():
+        if track.observations[0][0] >= 10:
+            x.points[pid] = (xyz + rng.normal(0.0, 20.0, 3), track)
+    return skeleton, [x, z], scene["features"], scene["pairs"]
+
+
+class TestMergeOracle:
+    """`merge_all` on columns against the dict merge loop it replaced."""
+
+    def check(self, case, tmp_path, monkeypatch):
+        skeleton, clusters, features, pairs = case
+        owners_checked, shared = [], []
+        merge = Model.merge
+
+        def checked_merge(model, cluster, T, inlier_pairs):
+            targets = list(dict(inlier_pairs).values())
+            shared.append(len(set(targets)) < len(targets))
+            merge(model, cluster, T, inlier_pairs)
+            keys, pids = feature_point_index_reference(model.reconstruction())
+            assert model.pids[model.owners(keys)].tolist() == pids.tolist()
+            owners_checked.append(len(keys))
+
+        monkeypatch.setattr(Model, "merge", checked_merge)
+        got, report = merge_all(skeleton, clusters, features, pairs)
+        expect, expect_report, log = merge_all_reference(skeleton, clusters, features, pairs)
+        write_reconstruction(tmp_path / "got.txt", got)
+        write_reconstruction(tmp_path / "expect.txt", expect)
+        assert (tmp_path / "got.txt").read_bytes() == (tmp_path / "expect.txt").read_bytes()
+        assert_same_model(got, expect)
+        assert report.steps == expect_report.steps
+        assert report.dropped == expect_report.dropped
+        assert report.error_before_final_ba == expect_report.error_before_final_ba
+        assert report.error_after_final_ba == expect_report.error_after_final_ba
+        assert len(owners_checked) == len(report.steps)
+        return got, report, log, any(shared)
+
+    def test_random_scenes_equal_the_dict_merge(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(51)
+        seen = dict.fromkeys(
+            ["overlap", "model_is_source", "dropped", "retried", "feature_in_two_tracks",
+             "two_fuse_into_one"],
+            0,
+        )
+        cases = [retry_case(rng)] + [random_merge_case(rng) for _ in range(12)]
+        for case in cases:
+            skeleton, clusters = case[:2]
+            merged, report, log, shared = self.check(case, tmp_path, monkeypatch)
+            seen["two_fuse_into_one"] += shared
+            done = [entry[1] for entry in log if entry[0] == "merge"]
+            seen["overlap"] += any(
+                skeleton.cameras.keys() & clusters[idx].cameras.keys() for idx in done
+            )
+            flips = {e[1] for e in log if e[0] == "evaluate" and not e[2]}
+            seen["model_is_source"] += bool(flips & set(done))
+            seen["dropped"] += bool(report.dropped)
+            failed = {e[1] for e in log if e[0] == "fail"}
+            seen["retried"] += bool(failed & set(done))
+            feats = [o for _, t in merged.points.values() for o in t.observations]
+            seen["feature_in_two_tracks"] += len(set(feats)) < len(feats)
+        assert all(seen.values()), seen
 
 
 class TestGeoreference:
